@@ -1,78 +1,29 @@
-//! The shared-structure cache, epoch-aware for dynamic graphs and safe
-//! under concurrent readers.
+//! The shared-structure cache of Algorithm 1 lines 9–11: "If the RTC
+//! for R exists, we reuse \[it\]. Otherwise, we compute and store \[it\]
+//! to share." The key is the *closure body* `R` (canonicalized), not the
+//! closure — `R+` and `R*` share one entry, which is how Example 7's
+//! `(a·b)*` reuses the RTC computed for `a·(a·b)+·b`.
 //!
-//! Algorithm 1 lines 9–11: "If the RTC for R exists, we reuse \[it\].
-//! Otherwise, we compute and store \[it\] to share." The cache key is the
-//! *closure body* `R` (canonicalized), not the closure itself — `R+` and
-//! `R*` share one entry, which is how Example 7's `(a·b)*` reuses the RTC
-//! computed for `a·(a·b)+·b`.
-//!
-//! For dynamic graphs every entry additionally records the **epoch** it
-//! was built at and the base relation `R_G` it was built from. The cache
-//! itself tracks the graph's current epoch (advanced by
-//! `Engine::apply_delta`); a lookup whose entry is older than the current
-//! epoch returns [`RtcLookup::Stale`] — handing the caller everything
-//! needed to refresh *incrementally* (diff the base relations, feed the
-//! delta to [`DynamicRtc`]) instead of silently serving a closure of a
-//! graph that no longer exists.
-//!
-//! ## Concurrency
-//!
-//! Every method takes `&self`: the interior is **sharded** — entries live
-//! in `SHARD_COUNT` (8) hash maps, each behind its own `RwLock`, selected
-//! by the key's hash — and the hit/miss/stale counters and the epoch are
-//! atomics. N threads evaluating disjoint closure bodies therefore insert
-//! and look up without contending on one lock, and a fresh-entry hit only
-//! ever takes a shard *read* lock, so the serving front-end's concurrent
-//! `query` connections all read one cache simultaneously. Two threads
-//! racing to fill the same miss both compute and insert; the structures
-//! are deterministic per `(key, epoch)`, so whichever insert lands last is
-//! immaterial. A stale entry is claimed (removed) under the shard write
-//! lock, so exactly one racer receives the refreshable state — the others
-//! see a plain miss and rebuild from scratch, which is correct, just not
-//! incremental.
-//!
-//! ## Budgets and eviction
-//!
-//! By default the cache is unbounded — every distinct closure body pins
-//! its structures forever. A [`CacheBudget`] (engine-config field, the
-//! `RPQ_CACHE_BUDGET` environment variable, or the `rpq --cache-budget`
-//! flag) caps the retained footprint: every entry records its heap bytes,
-//! the wall-clock nanos spent building it (the cost to rebuild) and a
-//! last-hit tick, and whenever an insert pushes the cache over
-//! `max_bytes`/`max_entries` the entry with the lowest
-//! `cost_to_rebuild / bytes` score is evicted. Scores are compared by
-//! order of magnitude (power-of-8 buckets): measured build times jitter
-//! from run to run, so raw float scores would never tie and a hot entry
-//! whose build happened to measure fast would thrash; entries of
-//! comparable rebuild density instead *tie* and the least-recently-hit
-//! one goes (then key order, so eviction is deterministic). Entries
-//! whose epoch is pinned by a live [`EpochPin`] — i.e. retained by an
-//! [`crate::EpochView`] — are never evicted; if pinned entries alone
-//! exceed the budget, enforcement is best-effort until the pins drop.
-//! `ttl_epochs` adds a [`SharedCache::sweep`] run on every epoch advance
-//! that drops unpinned entries too many epochs behind the live one.
-//! Eviction never affects results — an evicted structure is rebuilt on
-//! its next miss (counted in
-//! [`EvictionCounters::rebuilds_after_evict`]) — it only trades memory
-//! for rebuild time.
+//! [`SharedCache`] is one instance of the crate's budgeted, epoch-aware
+//! map, keyed by (sharing kind, canonical `R`). Entries are stamped with
+//! the graph epoch they were built at; after `Engine::apply_delta` a live
+//! lookup claims an older entry as [`RtcLookup::Stale`] /
+//! [`FullLookup::Stale`], handing over what an *incremental* refresh
+//! needs (the base relation to diff, the [`DynamicRtc`] to feed) instead
+//! of serving a closure of a graph that no longer exists. A
+//! [`CacheBudget`] caps the footprint: the cheapest-to-rebuild bytes go
+//! first (by order of magnitude, then least-recently-hit, then key),
+//! never entries of an epoch pinned by a live [`EpochPin`]. Eviction
+//! never changes results — an evicted structure is rebuilt on its next
+//! miss — it only trades memory for rebuild time.
 
+pub use crate::budgeted_map::Lookup;
+use crate::budgeted_map::{BudgetedMap, Counter, Weigh};
+use crate::sharing::SharingKind;
 use rpq_graph::PairSet;
 use rpq_reduction::{DynamicRtc, FullTc, Rtc};
-use rustc_hash::{FxHashMap, FxHashSet};
-use std::hash::{BuildHasher, BuildHasherDefault};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// Number of independent lock-protected map shards. A small power of two:
-/// enough to keep a handful of serving threads off each other's locks,
-/// small enough that whole-cache aggregates stay cheap.
-const SHARD_COUNT: usize = 8;
-
-/// Bound on the evicted-key set behind the rebuild-after-evict counter.
-/// Purely accounting state; when it fills up it is dropped wholesale
-/// rather than growing without limit (the counter becomes best-effort).
-const EVICTED_KEYS_CAP: usize = 4096;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Retention budget for the engine's caches. `Default` is unbounded on
 /// every axis — the pre-budget behavior.
@@ -83,15 +34,17 @@ const EVICTED_KEYS_CAP: usize = 4096;
 /// environment variable or the server's `--cache-budget` flag.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheBudget {
-    /// Maximum retained heap bytes (structures plus recorded base
-    /// relations, both namespaces combined); `None` = unbounded.
+    /// Maximum retained heap bytes; `None` = unbounded. Binds the
+    /// structural cache and, separately, the result cache.
     pub max_bytes: Option<usize>,
-    /// Maximum number of retained entries (RTCs plus full closures);
-    /// `None` = unbounded.
+    /// Maximum retained structural entries; `None` = unbounded. The result
+    /// cache has a fixed bound instead
+    /// ([`crate::result_cache::DEFAULT_RESULT_CACHE_ENTRIES`]).
     pub max_entries: Option<usize>,
-    /// Entries whose build epoch trails the live epoch by more than this
-    /// many epochs are dropped by [`SharedCache::sweep`]; `None` keeps
-    /// stale entries indefinitely (they back incremental refreshes).
+    /// Structural entries more than this many epochs behind the live one
+    /// are dropped on every epoch advance; `None` keeps stale entries (they
+    /// back incremental refreshes). Result-cache entries never go stale
+    /// (the epoch is part of their key), so this does not apply to them.
     pub ttl_epochs: Option<u64>,
 }
 
@@ -180,10 +133,11 @@ pub struct EvictionCounters {
     pub by_entries: u64,
     /// Entries dropped by the TTL sweep.
     pub by_ttl: u64,
-    /// Stale entries displaced by a newer-epoch insert under their key.
+    /// Stale entries displaced by a newer-epoch insert under their key
+    /// (a claimed-and-refreshed entry is not one: the claim removed it).
     pub by_stale: u64,
-    /// Misses on keys that were previously evicted under budget pressure
-    /// — each one is a rebuild the budget caused.
+    /// Misses on keys that were previously evicted by the budget or the
+    /// TTL sweep — each one is a rebuild the budget caused.
     pub rebuilds_after_evict: u64,
 }
 
@@ -194,11 +148,10 @@ impl EvictionCounters {
     }
 }
 
-/// RAII pin on an epoch: while any pin for epoch `E` is alive, budget
-/// eviction and the TTL sweep never remove entries stamped `E`, so an
-/// [`crate::EpochView`] retained by the serving layer keeps getting
-/// fresh hits for the structures it already paid for. Dropping the last
-/// pin makes the epoch's entries evictable again.
+/// RAII pin on an epoch: while any pin for epoch `E` is alive, eviction
+/// and the TTL sweep spare entries stamped `E`, so a retained
+/// [`crate::EpochView`] keeps getting fresh hits for the structures it
+/// already paid for.
 pub struct EpochPin {
     cache: Arc<SharedCache>,
     epoch: u64,
@@ -207,7 +160,7 @@ pub struct EpochPin {
 impl EpochPin {
     /// Pins `epoch` in `cache` until the returned guard drops.
     pub fn new(cache: Arc<SharedCache>, epoch: u64) -> Self {
-        cache.pin_epoch(epoch);
+        cache.map.pin(epoch);
         Self { cache, epoch }
     }
 
@@ -219,93 +172,61 @@ impl EpochPin {
 
 impl Drop for EpochPin {
     fn drop(&mut self) {
-        self.cache.unpin_epoch(self.epoch);
+        self.cache.map.unpin(self.epoch);
     }
 }
 
-/// Per-entry retention metadata: everything eviction scores on.
-struct EntryMeta {
-    /// Retained heap bytes: the structure plus its recorded base
-    /// relation (the maintainable form is not counted — it only exists
-    /// transiently between refreshes).
-    bytes: usize,
-    /// Wall-clock nanos spent building the structure — the cost a future
-    /// miss would pay again. 0 when the insert path measured none, which
-    /// scores the entry cheapest-to-rebuild (evicted first).
-    build_nanos: u64,
-    /// Tick of the most recent fresh hit (insert counts as one); updated
-    /// under the shard *read* lock, hence atomic.
-    last_hit: AtomicU64,
+/// One cached shared structure with the base relation `R_G` it was built
+/// from — the diff base for refreshes (`None` only for entries restored
+/// without one, which refresh by rebuild).
+#[derive(Clone)]
+pub enum SharedStructure {
+    /// RTCSharing's reduced transitive closure.
+    Rtc {
+        /// The structure.
+        rtc: Arc<Rtc>,
+        /// The base relation it was built from.
+        r_g: Option<Arc<PairSet>>,
+        /// The maintainable form, once a refresh built one (not counted
+        /// against the budget).
+        dynamic: Option<Arc<DynamicRtc>>,
+    },
+    /// FullSharing's materialized `R⁺_G`.
+    Full {
+        /// The structure.
+        full: Arc<FullTc>,
+        /// The base relation it was built from.
+        r_g: Option<Arc<PairSet>>,
+    },
 }
 
-impl EntryMeta {
-    /// Eviction score: nanos of rebuild work bought per retained byte.
-    /// Lowest goes first.
-    fn score(&self) -> f64 {
-        self.build_nanos as f64 / self.bytes.max(1) as f64
-    }
-
-    /// The score's power-of-8 bucket, used for victim comparison.
-    /// Build times are measured wall-clock and jitter between runs, so
-    /// comparing raw float scores never produces the tie the recency
-    /// rule needs — a hot entry whose build happened to measure fast
-    /// would be re-evicted on every round of tail churn. Bucketing by
-    /// order of magnitude makes entries of comparable rebuild density
-    /// tie, and recency picks among them. Unmeasured entries (cost 0)
-    /// sort below every bucket and go first.
-    fn score_class(&self) -> i32 {
-        let score = self.score();
-        if score <= 0.0 {
-            return i32::MIN;
-        }
-        (score.log2() / 3.0).floor() as i32
-    }
-}
-
-impl Clone for EntryMeta {
-    fn clone(&self) -> Self {
-        Self {
-            bytes: self.bytes,
-            build_nanos: self.build_nanos,
-            last_hit: AtomicU64::new(self.last_hit.load(Ordering::Relaxed)),
+impl SharedStructure {
+    fn kind(&self) -> SharingKind {
+        match self {
+            Self::Rtc { .. } => SharingKind::Rtc,
+            Self::Full { .. } => SharingKind::Full,
         }
     }
 }
 
-/// A cached RTC with its provenance.
-#[derive(Clone)]
-struct RtcEntry {
-    rtc: Arc<Rtc>,
-    /// The `R_G` the structure was built from (diff base for refreshes);
-    /// `None` when the entry was stored without one (legacy path) — such
-    /// an entry can only be refreshed by rebuild.
-    r_g: Option<Arc<PairSet>>,
-    /// The maintainable form, once a refresh has materialized it.
-    dynamic: Option<Arc<DynamicRtc>>,
-    epoch: u64,
-    meta: EntryMeta,
-}
-
-/// A cached full closure with its provenance.
-#[derive(Clone)]
-struct FullEntry {
-    full: Arc<FullTc>,
-    r_g: Option<Arc<PairSet>>,
-    epoch: u64,
-    meta: EntryMeta,
+impl Weigh for SharedStructure {
+    /// The structure's tables plus its recorded base relation.
+    fn weigh(&self) -> usize {
+        let (tables, r_g) = match self {
+            Self::Rtc { rtc, r_g, .. } => (rtc.closure_heap_bytes(), r_g),
+            Self::Full { full, r_g } => (full.heap_bytes(), r_g),
+        };
+        tables + r_g.as_ref().map_or(0, |p| p.heap_bytes())
+    }
 }
 
 /// Result of an epoch-aware RTC lookup.
-pub enum RtcLookup {
-    /// A structure built at the current epoch.
-    Fresh(Arc<Rtc>),
-    /// A structure from an older epoch, with the state needed to refresh.
-    Stale(StaleRtc),
-    /// No entry under this key.
-    Miss,
-}
+pub type RtcLookup = Lookup<Arc<Rtc>, StaleRtc>;
 
-/// The refreshable state of a stale RTC entry.
+/// Result of an epoch-aware full-closure lookup.
+pub type FullLookup = Lookup<Arc<FullTc>, StaleFull>;
+
+/// The refreshable state of a claimed stale RTC entry.
 pub struct StaleRtc {
     /// The stale structure (still correct for the epoch it was built at).
     pub rtc: Arc<Rtc>,
@@ -315,17 +236,7 @@ pub struct StaleRtc {
     pub dynamic: Option<Arc<DynamicRtc>>,
 }
 
-/// Result of an epoch-aware full-closure lookup.
-pub enum FullLookup {
-    /// A structure built at the current epoch.
-    Fresh(Arc<FullTc>),
-    /// A structure from an older epoch with its base relation.
-    Stale(StaleFull),
-    /// No entry under this key.
-    Miss,
-}
-
-/// The refreshable state of a stale full-closure entry.
+/// The refreshable state of a claimed stale full-closure entry.
 pub struct StaleFull {
     /// The stale structure.
     pub full: Arc<FullTc>,
@@ -333,620 +244,108 @@ pub struct StaleFull {
     pub r_g: Option<Arc<PairSet>>,
 }
 
-/// One lock-protected shard of the cache interior.
-#[derive(Default)]
-struct Shard {
-    rtcs: RwLock<FxHashMap<String, RtcEntry>>,
-    fulls: RwLock<FxHashMap<String, FullEntry>>,
-}
-
-/// Cache of shared structures keyed by the canonical form of `R`.
-///
-/// Structures are held behind [`Arc`], so a `clone()` of the cache is a
-/// cheap snapshot sharing the underlying RTCs/closures. All methods take
-/// `&self` (sharded lock-protected maps, atomic counters — see the module
-/// docs), so one cache can be read and filled by any number of threads at
-/// once: this is what lets the engine evaluate queries under a shared
-/// reference and the TCP front-end serve concurrent clients from one
-/// epoch-aware cache.
-#[derive(Default)]
+/// Cache of shared structures keyed by the canonical form of `R` (see the
+/// module docs). All methods take `&self`, so the engine, its pinned views
+/// and concurrent server connections read and fill one cache.
 pub struct SharedCache {
-    shards: [Shard; SHARD_COUNT],
-    /// The retention budget; immutable after construction.
-    budget: CacheBudget,
-    /// The graph epoch this cache serves; entries with an older epoch are
-    /// stale.
-    epoch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stale_hits: AtomicU64,
-    /// Monotone logical clock stamped into entries' `last_hit` — the
-    /// recency axis of the eviction tie-break.
-    tick: AtomicU64,
-    /// Retained footprint across both namespaces, maintained on every
-    /// map mutation so budget checks are O(1).
-    occ_bytes: AtomicU64,
-    occ_entries: AtomicU64,
-    ev_bytes: AtomicU64,
-    ev_entries: AtomicU64,
-    ev_ttl: AtomicU64,
-    ev_stale: AtomicU64,
-    rebuilds_after_evict: AtomicU64,
-    /// Epoch → number of live [`EpochPin`] guards.
-    pinned: Mutex<FxHashMap<u64, usize>>,
-    /// Keys evicted under budget pressure (namespace-prefixed), consumed
-    /// by the first subsequent miss to count a rebuild-after-evict.
-    evicted_keys: Mutex<FxHashSet<String>>,
+    map: BudgetedMap<(SharingKind, String), SharedStructure>,
 }
 
-impl Clone for SharedCache {
-    fn clone(&self) -> Self {
-        let clone = SharedCache::with_budget(self.budget);
-        for (mine, theirs) in clone.shards.iter().zip(&self.shards) {
-            *write(&mine.rtcs) = read(&theirs.rtcs).clone();
-            *write(&mine.fulls) = read(&theirs.fulls).clone();
-        }
-        clone.epoch.store(self.epoch(), Ordering::Relaxed);
-        clone.hits.store(self.hits(), Ordering::Relaxed);
-        clone.misses.store(self.misses(), Ordering::Relaxed);
-        clone.stale_hits.store(self.stale_hits(), Ordering::Relaxed);
-        clone
-            .tick
-            .store(self.tick.load(Ordering::Relaxed), Ordering::Relaxed);
-        clone
-            .occ_bytes
-            .store(self.occ_bytes.load(Ordering::Relaxed), Ordering::Relaxed);
-        clone
-            .occ_entries
-            .store(self.occ_entries.load(Ordering::Relaxed), Ordering::Relaxed);
-        let ev = self.eviction_counters();
-        clone.ev_bytes.store(ev.by_bytes, Ordering::Relaxed);
-        clone.ev_entries.store(ev.by_entries, Ordering::Relaxed);
-        clone.ev_ttl.store(ev.by_ttl, Ordering::Relaxed);
-        clone.ev_stale.store(ev.by_stale, Ordering::Relaxed);
-        clone
-            .rebuilds_after_evict
-            .store(ev.rebuilds_after_evict, Ordering::Relaxed);
-        *lock(&clone.evicted_keys) = lock(&self.evicted_keys).clone();
-        // Pins are deliberately not cloned: each EpochPin guard releases
-        // against the cache it was created on.
-        clone
+impl Default for SharedCache {
+    /// An empty, **unbounded** cache at epoch 0.
+    fn default() -> Self {
+        Self::with_budget(CacheBudget::default())
     }
-}
-
-/// Acquires a shard read lock, clearing poisoning: a panicked evaluation
-/// elsewhere leaves entries consistent (inserts are whole-entry), so
-/// serving continues.
-fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Acquires a shard write lock, clearing poisoning (see [`read`]).
-fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Acquires a mutex, clearing poisoning (see [`read`]).
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl SharedCache {
-    /// An empty, **unbounded** cache at epoch 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// An empty cache at epoch 0 enforcing `budget` on every insert.
     pub fn with_budget(budget: CacheBudget) -> Self {
         Self {
-            budget,
-            ..Self::default()
+            map: BudgetedMap::new(budget),
         }
     }
 
     /// The retention budget this cache enforces.
     pub fn budget(&self) -> CacheBudget {
-        self.budget
-    }
-
-    fn shard(&self, key: &str) -> &Shard {
-        let hash = BuildHasherDefault::<rustc_hash::FxHasher>::default().hash_one(key);
-        &self.shards[(hash as usize) % SHARD_COUNT]
+        self.map.budget()
     }
 
     /// The graph epoch this cache currently serves.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.map.epoch()
     }
 
-    /// Moves the cache to a newer graph epoch; existing entries become
-    /// stale and will be refreshed on their next lookup. Epochs are
-    /// monotone — moving backward panics (it would un-stale entries).
+    /// Moves the cache to a newer graph epoch (existing entries become
+    /// stale) and runs the TTL sweep. Panics if `epoch` moves backward.
     pub fn advance_epoch(&self, epoch: u64) {
-        // fetch_max (not check-then-store) so racing callers can never
-        // move the epoch backward even transiently; the assert then
-        // reports the caller that *tried* to.
-        let previous = self.epoch.fetch_max(epoch, Ordering::AcqRel);
-        assert!(epoch >= previous, "cache epoch must be monotone");
-        self.sweep();
+        self.map.advance_epoch(epoch);
     }
 
-    /// Stamps a fresh hit: bumps the counter and the entry's recency
-    /// tick. Safe under a shard read lock (the tick is atomic).
-    fn note_fresh_hit(&self, meta: &EntryMeta) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        meta.last_hit
-            .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Counts a miss, and a rebuild-after-evict when the key was
-    /// previously evicted under budget pressure (`ns` keeps the RTC and
-    /// full namespaces from colliding in the evicted-key set).
-    fn note_miss(&self, ns: char, key: &str) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if self.budget.is_unbounded() {
-            return;
-        }
-        let mut evicted = lock(&self.evicted_keys);
-        if !evicted.is_empty() && evicted.remove(&format!("{ns}:{key}")) {
-            self.rebuilds_after_evict.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records `key` as budget-evicted so its next miss counts as a
-    /// rebuild. The set is accounting state only and bounded.
-    fn remember_evicted(&self, ns: char, key: &str) {
-        let mut evicted = lock(&self.evicted_keys);
-        if evicted.len() >= EVICTED_KEYS_CAP {
-            evicted.clear();
-        }
-        evicted.insert(format!("{ns}:{key}"));
-    }
-
-    /// Occupancy bookkeeping for an insert that replaced `replaced`.
-    fn note_insert(&self, added_bytes: usize, replaced: Option<&EntryMeta>) {
-        self.occ_bytes
-            .fetch_add(added_bytes as u64, Ordering::AcqRel);
-        match replaced {
-            Some(old) => {
-                self.occ_bytes.fetch_sub(old.bytes as u64, Ordering::AcqRel);
-            }
-            None => {
-                self.occ_entries.fetch_add(1, Ordering::AcqRel);
-            }
-        }
-    }
-
-    /// Occupancy bookkeeping for a removal (claim, eviction, sweep).
-    fn note_remove(&self, meta: &EntryMeta) {
-        self.occ_bytes
-            .fetch_sub(meta.bytes as u64, Ordering::AcqRel);
-        self.occ_entries.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Epoch-aware RTC lookup. Counts a hit for [`RtcLookup::Fresh`], a
-    /// stale hit for [`RtcLookup::Stale`] and a miss otherwise.
-    ///
-    /// A fresh hit only takes the shard **read** lock, so concurrent
-    /// lookups of warm entries never serialize. A stale entry is
-    /// **removed** from the cache (under the shard write lock, re-checked
-    /// after the upgrade) and handed to the caller by value: the caller is
-    /// expected to refresh it and re-insert at the current epoch, and the
-    /// ownership transfer lets the refresh mutate the maintainable
-    /// structure in place (`Arc::try_unwrap` succeeds) instead of
-    /// deep-cloning it.
-    pub fn lookup_rtc(&self, key: &str) -> RtcLookup {
-        self.lookup_rtc_at(key, self.epoch())
-    }
-
-    /// [`SharedCache::lookup_rtc`] pinned to an explicit `epoch` — the
-    /// lookup an [`crate::EpochView`] reader performs. An entry stamped
-    /// exactly `epoch` is a fresh hit regardless of where the live epoch
-    /// has moved since. Stale entries are only *claimed* when the pinned
-    /// epoch **is** the live epoch (claiming exists to refresh the entry
-    /// forward, which only makes sense at the front); a reader pinned to
-    /// an older epoch treats any other-epoch entry as a plain miss and
-    /// recomputes from its frozen graph, leaving the entry in place for
-    /// live readers.
+    /// RTC lookup at `epoch` (the live one, or an [`crate::EpochView`]'s
+    /// pinned one): an entry stamped `epoch` is [`RtcLookup::Fresh`]; at
+    /// the live epoch an older entry is claimed — removed and handed over
+    /// to be refreshed and re-inserted; anything else is a miss that
+    /// leaves the entry for live readers.
     pub fn lookup_rtc_at(&self, key: &str, epoch: u64) -> RtcLookup {
-        let shard = self.shard(key);
-        {
-            let map = read(&shard.rtcs);
-            match map.get(key) {
-                Some(entry) if entry.epoch == epoch => {
-                    self.note_fresh_hit(&entry.meta);
-                    return RtcLookup::Fresh(Arc::clone(&entry.rtc));
-                }
-                Some(_) if epoch == self.epoch() => {
-                    // Stale at the front: claim it below, under the write lock.
-                }
-                _ => {
-                    self.note_miss('r', key);
-                    return RtcLookup::Miss;
-                }
+        match self.map.lookup(&(SharingKind::Rtc, key.to_owned()), epoch) {
+            Lookup::Fresh(SharedStructure::Rtc { rtc, .. }) => Lookup::Fresh(rtc),
+            Lookup::Stale(SharedStructure::Rtc { rtc, r_g, dynamic }) => {
+                Lookup::Stale(StaleRtc { rtc, r_g, dynamic })
             }
-        }
-        let mut map = write(&shard.rtcs);
-        // Re-check: between the two locks another thread may have
-        // refreshed the entry (now fresh) or claimed it (now gone).
-        match map.get(key) {
-            Some(entry) if entry.epoch == epoch => {
-                self.note_fresh_hit(&entry.meta);
-                RtcLookup::Fresh(Arc::clone(&entry.rtc))
-            }
-            Some(_) => {
-                self.stale_hits.fetch_add(1, Ordering::Relaxed);
-                let entry = map.remove(key).expect("stale entry present");
-                // A claim is a refresh hand-off, not an eviction — but
-                // the entry did leave the cache, so occupancy drops.
-                self.note_remove(&entry.meta);
-                RtcLookup::Stale(StaleRtc {
-                    rtc: entry.rtc,
-                    r_g: entry.r_g,
-                    dynamic: entry.dynamic,
-                })
-            }
-            None => {
-                self.note_miss('r', key);
-                RtcLookup::Miss
-            }
+            _ => Lookup::Miss,
         }
     }
 
-    /// Looks up the RTC for `key`, counting hit/miss. Stale entries are
-    /// *not* returned (and count as misses) — use [`SharedCache::lookup_rtc`]
-    /// to refresh instead of recomputing.
-    pub fn get_rtc(&self, key: &str) -> Option<Arc<Rtc>> {
-        let epoch = self.epoch();
-        match read(&self.shard(key).rtcs).get(key) {
-            Some(entry) if entry.epoch == epoch => {
-                self.note_fresh_hit(&entry.meta);
-                Some(Arc::clone(&entry.rtc))
-            }
-            _ => {
-                self.note_miss('r', key);
-                None
-            }
-        }
-    }
-
-    /// Stores an RTC under `key` at the current epoch, with no recorded
-    /// base relation (a later staleness can only be resolved by rebuild).
-    /// Prefer [`SharedCache::insert_rtc_entry`] where `R_G` is at hand.
-    pub fn insert_rtc(&self, key: String, rtc: Arc<Rtc>) {
-        self.insert_rtc_at(key, rtc, self.epoch());
-    }
-
-    /// Stores an RTC stamped with an explicit `epoch`, never displacing an
-    /// entry from a **newer** epoch — the insert used by a reader pinned
-    /// to an older [`crate::EpochView`], whose recomputed structure must
-    /// not clobber what live readers are sharing. Ties overwrite
-    /// (structures are deterministic per `(key, epoch)`).
-    pub fn insert_rtc_at(&self, key: String, rtc: Arc<Rtc>, epoch: u64) {
-        self.insert_rtc_inner(key, rtc, None, None, epoch, 0);
-    }
-
-    /// Stores an RTC with its base relation (and optionally its
-    /// maintainable form) at the current epoch.
-    pub fn insert_rtc_entry(
-        &self,
-        key: String,
-        rtc: Arc<Rtc>,
-        r_g: Arc<PairSet>,
-        dynamic: Option<Arc<DynamicRtc>>,
-    ) {
-        self.insert_rtc_entry_at(key, rtc, r_g, dynamic, self.epoch());
-    }
-
-    /// [`SharedCache::insert_rtc_entry`] stamped with an explicit `epoch`
-    /// (newest epoch wins — see [`SharedCache::insert_rtc_at`]).
-    pub fn insert_rtc_entry_at(
-        &self,
-        key: String,
-        rtc: Arc<Rtc>,
-        r_g: Arc<PairSet>,
-        dynamic: Option<Arc<DynamicRtc>>,
-        epoch: u64,
-    ) {
-        self.insert_rtc_inner(key, rtc, Some(r_g), dynamic, epoch, 0);
-    }
-
-    /// [`SharedCache::insert_rtc_entry_at`] recording `build` — the wall
-    /// clock spent constructing the structure — as its cost-to-rebuild.
-    /// The insert every measured evaluation path uses; the uncosted
-    /// variants stamp cost 0 (cheapest to rebuild, evicted first).
-    pub fn insert_rtc_entry_costed(
-        &self,
-        key: String,
-        rtc: Arc<Rtc>,
-        r_g: Arc<PairSet>,
-        dynamic: Option<Arc<DynamicRtc>>,
-        epoch: u64,
-        build: std::time::Duration,
-    ) {
-        self.insert_rtc_inner(key, rtc, Some(r_g), dynamic, epoch, build.as_nanos() as u64);
-    }
-
-    /// [`SharedCache::insert_rtc_at`] carrying a cost-to-rebuild — the
-    /// snapshot loader's insert for entries persisted without `R_G`.
-    pub fn insert_rtc_at_costed(
-        &self,
-        key: String,
-        rtc: Arc<Rtc>,
-        epoch: u64,
-        build: std::time::Duration,
-    ) {
-        self.insert_rtc_inner(key, rtc, None, None, epoch, build.as_nanos() as u64);
-    }
-
-    fn insert_rtc_inner(
-        &self,
-        key: String,
-        rtc: Arc<Rtc>,
-        r_g: Option<Arc<PairSet>>,
-        dynamic: Option<Arc<DynamicRtc>>,
-        epoch: u64,
-        build_nanos: u64,
-    ) {
-        let bytes = rtc.closure_heap_bytes() + r_g.as_ref().map_or(0, |p| p.heap_bytes());
-        let meta = EntryMeta {
-            bytes,
-            build_nanos,
-            last_hit: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
-        };
-        {
-            let mut map = write(&self.shard(&key).rtcs);
-            if map.get(&key).is_some_and(|existing| existing.epoch > epoch) {
-                return;
-            }
-            let replaced = map.insert(
-                key,
-                RtcEntry {
-                    rtc,
-                    r_g,
-                    dynamic,
-                    epoch,
-                    meta,
-                },
-            );
-            if let Some(old) = &replaced {
-                if old.epoch < epoch {
-                    self.ev_stale.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            self.note_insert(bytes, replaced.as_ref().map(|e| &e.meta));
-        }
-        self.enforce_budget();
-    }
-
-    /// Whether a fresh (current-epoch) RTC exists for `key`, without
-    /// touching the hit/miss counters.
-    pub fn contains_fresh_rtc(&self, key: &str) -> bool {
-        let epoch = self.epoch();
-        read(&self.shard(key).rtcs)
-            .get(key)
-            .is_some_and(|entry| entry.epoch == epoch)
-    }
-
-    /// Epoch-aware full-closure lookup (see [`SharedCache::lookup_rtc`]).
-    /// Unlike the RTC path, a stale full entry is returned by shared
-    /// reference (never claimed): `FullTc` has no in-place maintenance, so
-    /// there is nothing to mutate and concurrent refreshers can all rebuild
-    /// from the same stale base.
-    pub fn lookup_full(&self, key: &str) -> FullLookup {
-        self.lookup_full_at(key, self.epoch())
-    }
-
-    /// [`SharedCache::lookup_full`] pinned to an explicit `epoch` (see
-    /// [`SharedCache::lookup_rtc_at`]): an exact-epoch entry is a fresh
-    /// hit; stale refresh state is only handed out when the pinned epoch
-    /// is the live one; anything else is a miss.
+    /// Epoch-aware full-closure lookup (see [`SharedCache::lookup_rtc_at`]).
     pub fn lookup_full_at(&self, key: &str, epoch: u64) -> FullLookup {
-        match read(&self.shard(key).fulls).get(key) {
-            Some(entry) if entry.epoch == epoch => {
-                self.note_fresh_hit(&entry.meta);
-                FullLookup::Fresh(Arc::clone(&entry.full))
+        match self.map.lookup(&(SharingKind::Full, key.to_owned()), epoch) {
+            Lookup::Fresh(SharedStructure::Full { full, .. }) => Lookup::Fresh(full),
+            Lookup::Stale(SharedStructure::Full { full, r_g }) => {
+                Lookup::Stale(StaleFull { full, r_g })
             }
-            Some(entry) if epoch == self.epoch() => {
-                self.stale_hits.fetch_add(1, Ordering::Relaxed);
-                FullLookup::Stale(StaleFull {
-                    full: Arc::clone(&entry.full),
-                    r_g: entry.r_g.clone(),
-                })
-            }
-            _ => {
-                self.note_miss('f', key);
-                FullLookup::Miss
-            }
+            _ => Lookup::Miss,
         }
     }
 
-    /// Looks up the materialized `R⁺_G` for `key`, counting hit/miss.
-    /// Stale entries are not returned (and count as misses).
-    pub fn get_full(&self, key: &str) -> Option<Arc<FullTc>> {
-        let epoch = self.epoch();
-        match read(&self.shard(key).fulls).get(key) {
-            Some(entry) if entry.epoch == epoch => {
-                self.note_fresh_hit(&entry.meta);
-                Some(Arc::clone(&entry.full))
-            }
-            _ => {
-                self.note_miss('f', key);
-                None
-            }
-        }
+    /// Stores `structure` under `key` stamped `epoch`, with `build` — the
+    /// wall clock spent constructing it — as its cost to rebuild. Never
+    /// displaces a **newer** epoch's entry, so a reader pinned to an older
+    /// view cannot clobber what live readers share.
+    pub fn insert(&self, key: String, structure: SharedStructure, epoch: u64, build: Duration) {
+        self.map
+            .insert((structure.kind(), key), structure, epoch, build);
     }
 
-    /// Stores a materialized `R⁺_G` under `key` at the current epoch, with
-    /// no recorded base relation.
-    pub fn insert_full(&self, key: String, full: Arc<FullTc>) {
-        self.insert_full_at(key, full, self.epoch());
+    /// Whether a live-epoch structure of `kind` exists for `key`; counts
+    /// nothing.
+    pub(crate) fn contains_fresh(&self, kind: SharingKind, key: &str) -> bool {
+        self.map.contains_at(&(kind, key.to_owned()), self.epoch())
     }
 
-    /// [`SharedCache::insert_full`] stamped with an explicit `epoch`
-    /// (newest epoch wins — see [`SharedCache::insert_rtc_at`]).
-    pub fn insert_full_at(&self, key: String, full: Arc<FullTc>, epoch: u64) {
-        self.insert_full_inner(key, full, None, epoch, 0);
-    }
-
-    /// Stores a materialized `R⁺_G` with its base relation.
-    pub fn insert_full_entry(&self, key: String, full: Arc<FullTc>, r_g: Arc<PairSet>) {
-        self.insert_full_entry_at(key, full, r_g, self.epoch());
-    }
-
-    /// [`SharedCache::insert_full_entry`] stamped with an explicit `epoch`
-    /// (newest epoch wins — see [`SharedCache::insert_rtc_at`]).
-    pub fn insert_full_entry_at(
-        &self,
-        key: String,
-        full: Arc<FullTc>,
-        r_g: Arc<PairSet>,
-        epoch: u64,
-    ) {
-        self.insert_full_inner(key, full, Some(r_g), epoch, 0);
-    }
-
-    /// [`SharedCache::insert_full_entry_at`] recording `build` as the
-    /// cost-to-rebuild (see [`SharedCache::insert_rtc_entry_costed`]).
-    pub fn insert_full_entry_costed(
-        &self,
-        key: String,
-        full: Arc<FullTc>,
-        r_g: Arc<PairSet>,
-        epoch: u64,
-        build: std::time::Duration,
-    ) {
-        self.insert_full_inner(key, full, Some(r_g), epoch, build.as_nanos() as u64);
-    }
-
-    /// [`SharedCache::insert_full_at`] carrying a cost-to-rebuild — the
-    /// snapshot loader's insert for entries persisted without `R_G`.
-    pub fn insert_full_at_costed(
-        &self,
-        key: String,
-        full: Arc<FullTc>,
-        epoch: u64,
-        build: std::time::Duration,
-    ) {
-        self.insert_full_inner(key, full, None, epoch, build.as_nanos() as u64);
-    }
-
-    fn insert_full_inner(
-        &self,
-        key: String,
-        full: Arc<FullTc>,
-        r_g: Option<Arc<PairSet>>,
-        epoch: u64,
-        build_nanos: u64,
-    ) {
-        let bytes = full.heap_bytes() + r_g.as_ref().map_or(0, |p| p.heap_bytes());
-        let meta = EntryMeta {
-            bytes,
-            build_nanos,
-            last_hit: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
-        };
-        {
-            let mut map = write(&self.shard(&key).fulls);
-            if map.get(&key).is_some_and(|existing| existing.epoch > epoch) {
-                return;
-            }
-            let replaced = map.insert(
-                key,
-                FullEntry {
-                    full,
-                    r_g,
-                    epoch,
-                    meta,
-                },
-            );
-            if let Some(old) = &replaced {
-                if old.epoch < epoch {
-                    self.ev_stale.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            self.note_insert(bytes, replaced.as_ref().map(|e| &e.meta));
-        }
-        self.enforce_budget();
-    }
-
-    /// Whether a fresh (current-epoch) full closure exists for `key`,
-    /// without touching the hit/miss counters.
-    pub fn contains_fresh_full(&self, key: &str) -> bool {
-        let epoch = self.epoch();
-        read(&self.shard(key).fulls)
-            .get(key)
-            .is_some_and(|entry| entry.epoch == epoch)
-    }
-
-    /// Collects the **fresh** (current-epoch) RTC entries as
-    /// `(key, rtc, recorded base relation, build nanos)` — the
-    /// persistence surface used by the engine snapshot
-    /// ([`crate::snapshot`]). Stale entries are skipped: they would need
-    /// a refresh before being served anyway, so a snapshot simply drops
-    /// them. Returns an owned point-in-time copy (cheap `Arc` clones),
-    /// since the interior is lock-protected.
-    #[allow(clippy::type_complexity)]
-    pub fn fresh_rtc_entries(&self) -> Vec<(String, Arc<Rtc>, Option<Arc<PairSet>>, u64)> {
-        let epoch = self.epoch();
-        self.shards
-            .iter()
-            .flat_map(|s| {
-                read(&s.rtcs)
-                    .iter()
-                    .filter(|(_, e)| e.epoch == epoch)
-                    .map(|(k, e)| {
-                        (
-                            k.clone(),
-                            Arc::clone(&e.rtc),
-                            e.r_g.clone(),
-                            e.meta.build_nanos,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })
+    /// Copies of the live-epoch entries as `(key, structure, retained
+    /// bytes, build nanos)`, best-to-keep first (the reverse of the
+    /// eviction order) — what an engine snapshot persists.
+    pub fn fresh_entries(&self) -> Vec<(String, SharedStructure, usize, u64)> {
+        self.map
+            .retained_at(self.epoch())
+            .into_iter()
+            .map(|((_, key), structure, bytes, nanos)| (key, structure, bytes, nanos))
             .collect()
     }
 
-    /// Collects the fresh full-closure entries (see
-    /// [`SharedCache::fresh_rtc_entries`]).
-    #[allow(clippy::type_complexity)]
-    pub fn fresh_full_entries(&self) -> Vec<(String, Arc<FullTc>, Option<Arc<PairSet>>, u64)> {
-        let epoch = self.epoch();
-        self.shards
-            .iter()
-            .flat_map(|s| {
-                read(&s.fulls)
-                    .iter()
-                    .filter(|(_, e)| e.epoch == epoch)
-                    .map(|(k, e)| {
-                        (
-                            k.clone(),
-                            Arc::clone(&e.full),
-                            e.r_g.clone(),
-                            e.meta.build_nanos,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect()
+    fn sum_rtcs(&self, f: impl Fn(&Rtc) -> usize) -> usize {
+        self.map.sum(|s| match s {
+            SharedStructure::Rtc { rtc, .. } => f(rtc),
+            SharedStructure::Full { .. } => 0,
+        })
     }
 
-    /// Sums `f` over every RTC entry, one shard read lock at a time — the
-    /// shared fold behind the aggregate metrics below.
-    fn sum_rtcs(&self, f: impl Fn(&RtcEntry) -> usize) -> usize {
-        self.shards
-            .iter()
-            .map(|s| read(&s.rtcs).values().map(&f).sum::<usize>())
-            .sum()
-    }
-
-    /// Sums `f` over every full-closure entry (see [`SharedCache::sum_rtcs`]).
-    fn sum_fulls(&self, f: impl Fn(&FullEntry) -> usize) -> usize {
-        self.shards
-            .iter()
-            .map(|s| read(&s.fulls).values().map(&f).sum::<usize>())
-            .sum()
+    fn sum_fulls(&self, f: impl Fn(&FullTc) -> usize) -> usize {
+        self.map.sum(|s| match s {
+            SharedStructure::Full { full, .. } => f(full),
+            SharedStructure::Rtc { .. } => 0,
+        })
     }
 
     /// Number of cached RTCs (fresh or stale).
@@ -959,431 +358,200 @@ impl SharedCache {
         self.sum_fulls(|_| 1)
     }
 
-    /// Cache hits since creation/clear (fresh entries only).
+    /// Fresh hits since creation or the last counter reset.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.map.count(Counter::Hits)
     }
 
-    /// Cache misses since creation/clear.
+    /// Misses since creation or the last counter reset.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.map.count(Counter::Misses)
     }
 
-    /// Lookups that found an entry from an older epoch (each one leads to
-    /// a refresh, not a recompute-from-nothing).
+    /// Lookups that claimed an entry from an older epoch (each one leads
+    /// to a refresh, not a recompute-from-nothing).
     pub fn stale_hits(&self) -> u64 {
-        self.stale_hits.load(Ordering::Relaxed)
+        self.map.count(Counter::StaleHits)
     }
 
     /// Total pairs held in cached RTCs (`Σ |TC(Ḡ_R)|`) — RTCSharing's
     /// shared-data size in Fig. 12.
     pub fn rtc_shared_pairs(&self) -> usize {
-        self.sum_rtcs(|e| e.rtc.closure_pair_count())
+        self.sum_rtcs(Rtc::closure_pair_count)
     }
 
     /// Total pairs held in cached full closures (`Σ |R⁺_G|`) — FullSharing's
     /// shared-data size in Fig. 12.
     pub fn full_shared_pairs(&self) -> usize {
-        self.sum_fulls(|e| e.full.pair_count())
+        self.sum_fulls(FullTc::pair_count)
     }
 
     /// Sum of `|V̄_R|` (SCC counts) across cached RTCs — RTCSharing's
     /// vertex-count metric in Fig. 13.
     pub fn rtc_total_sccs(&self) -> usize {
-        self.sum_rtcs(|e| e.rtc.scc_count())
-    }
-
-    /// Sum of `|V_R|` across cached RTCs.
-    pub fn rtc_total_vr(&self) -> usize {
-        self.sum_rtcs(|e| e.rtc.stats().vr_vertices)
+        self.sum_rtcs(Rtc::scc_count)
     }
 
     /// Sum of `|V_R|` across cached full closures — FullSharing's
     /// vertex-count metric in Fig. 13.
     pub fn full_total_vertices(&self) -> usize {
-        self.sum_fulls(|e| e.full.vertex_count())
+        self.sum_fulls(FullTc::vertex_count)
     }
 
-    /// Heap bytes held by cached RTC closure tables (`Σ heap_bytes` over
-    /// their hybrid dense/sparse rows) — the memory side of the
-    /// representation ablation, surfaced through `Engine` metrics and the
-    /// server's `metrics`/`info` commands.
+    /// Heap bytes held by cached RTC closure tables.
     pub fn rtc_heap_bytes(&self) -> usize {
-        self.sum_rtcs(|e| e.rtc.closure_heap_bytes())
+        self.sum_rtcs(Rtc::closure_heap_bytes)
     }
 
-    /// Heap bytes held by cached full closures (see
-    /// [`SharedCache::rtc_heap_bytes`]).
+    /// Heap bytes held by cached full closures.
     pub fn full_heap_bytes(&self) -> usize {
-        self.sum_fulls(|e| e.full.heap_bytes())
+        self.sum_fulls(FullTc::heap_bytes)
     }
 
-    /// Number of dense (bitset-backed) rows across cached RTC closure
-    /// tables — how far the adaptive representation promoted.
+    /// Number of dense (bitset-backed) rows across cached RTC closures.
     pub fn rtc_dense_rows(&self) -> usize {
-        self.sum_rtcs(|e| e.rtc.dense_closure_rows())
+        self.sum_rtcs(Rtc::dense_closure_rows)
     }
 
-    /// Number of dense rows across cached full closures (see
-    /// [`SharedCache::rtc_dense_rows`]).
+    /// Number of dense rows across cached full closures.
     pub fn full_dense_rows(&self) -> usize {
-        self.sum_fulls(|e| e.full.dense_rows())
+        self.sum_fulls(FullTc::dense_rows)
     }
 
-    /// Resets the hit/miss/stale and eviction counters while
-    /// **preserving** every cached structure — the metric-reset half of
-    /// [`SharedCache::clear`], used by `Engine::reset_metrics`.
+    /// Resets the lookup and eviction counters, keeping every structure.
     pub fn reset_counters(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.stale_hits.store(0, Ordering::Relaxed);
-        self.ev_bytes.store(0, Ordering::Relaxed);
-        self.ev_entries.store(0, Ordering::Relaxed);
-        self.ev_ttl.store(0, Ordering::Relaxed);
-        self.ev_stale.store(0, Ordering::Relaxed);
-        self.rebuilds_after_evict.store(0, Ordering::Relaxed);
-        lock(&self.evicted_keys).clear();
+        self.map.reset_counters();
     }
 
     /// Point-in-time copy of the eviction counters.
     pub fn eviction_counters(&self) -> EvictionCounters {
-        EvictionCounters {
-            by_bytes: self.ev_bytes.load(Ordering::Relaxed),
-            by_entries: self.ev_entries.load(Ordering::Relaxed),
-            by_ttl: self.ev_ttl.load(Ordering::Relaxed),
-            by_stale: self.ev_stale.load(Ordering::Relaxed),
-            rebuilds_after_evict: self.rebuilds_after_evict.load(Ordering::Relaxed),
-        }
+        self.map.evictions()
     }
 
-    /// Retained heap bytes across both namespaces (structures plus
-    /// recorded base relations — the footprint the byte budget governs;
-    /// [`SharedCache::rtc_heap_bytes`] and friends measure the
-    /// structures alone).
+    /// Retained heap bytes: structures plus recorded base relations — the
+    /// footprint the byte budget governs.
     pub fn occupancy_bytes(&self) -> usize {
-        self.occ_bytes.load(Ordering::Acquire) as usize
+        self.map.occupancy_bytes()
     }
 
-    /// Retained entries across both namespaces.
+    /// Retained entries (RTCs plus full closures).
     pub fn occupancy_entries(&self) -> usize {
-        self.occ_entries.load(Ordering::Acquire) as usize
+        self.map.occupancy_entries()
     }
 
-    /// Retained heap bytes held by entries whose epoch is currently
-    /// pinned — the part of the footprint eviction cannot reclaim.
+    /// Retained bytes of pinned epochs' entries — what eviction cannot
+    /// reclaim.
     pub fn pinned_occupancy_bytes(&self) -> usize {
-        let pinned: FxHashSet<u64> = lock(&self.pinned).keys().copied().collect();
-        if pinned.is_empty() {
-            return 0;
-        }
-        let in_pins = |epoch: u64| pinned.contains(&epoch);
-        self.sum_rtcs(|e| if in_pins(e.epoch) { e.meta.bytes } else { 0 })
-            + self.sum_fulls(|e| if in_pins(e.epoch) { e.meta.bytes } else { 0 })
+        self.map.pinned_occupancy_bytes()
     }
 
-    /// Registers a pin on `epoch` (see [`EpochPin`], which pairs this
-    /// with the release).
-    pub fn pin_epoch(&self, epoch: u64) {
-        *lock(&self.pinned).entry(epoch).or_insert(0) += 1;
-    }
-
-    /// Releases one pin on `epoch`.
-    pub fn unpin_epoch(&self, epoch: u64) {
-        let mut pinned = lock(&self.pinned);
-        if let Some(count) = pinned.get_mut(&epoch) {
-            *count -= 1;
-            if *count == 0 {
-                pinned.remove(&epoch);
-            }
-        }
-    }
-
-    /// Whether any live pin covers `epoch`.
-    pub fn is_pinned(&self, epoch: u64) -> bool {
-        lock(&self.pinned).contains_key(&epoch)
-    }
-
-    /// Evicts lowest-score entries until the byte/entry budget holds (or
-    /// only pinned entries remain — enforcement is best-effort under
-    /// pins). Inserts call this themselves; it is public for bulk paths
-    /// (snapshot load, [`SharedCache::absorb`]) and tests.
+    /// Evicts until the budget holds or only pinned entries remain. Inserts
+    /// call this themselves; call it to settle the budget after pins drop.
     pub fn enforce_budget(&self) {
-        let (max_bytes, max_entries) = (self.budget.max_bytes, self.budget.max_entries);
-        if max_bytes.is_none() && max_entries.is_none() {
-            return;
-        }
-        loop {
-            let over_bytes = max_bytes.is_some_and(|b| self.occupancy_bytes() > b);
-            let over_entries = max_entries.is_some_and(|e| self.occupancy_entries() > e);
-            if !over_bytes && !over_entries {
-                return;
-            }
-            if !self.evict_one(over_bytes) {
-                return;
-            }
-        }
+        self.map.enforce_budget();
     }
 
-    /// Removes the unpinned entry with the lowest
-    /// `cost_to_rebuild / bytes` score class (ties — entries within the
-    /// same order of magnitude: least-recently-hit, then key order, RTCs
-    /// before fulls — fully deterministic for a given cache state).
-    /// Returns `false` when nothing is evictable. `for_bytes` selects
-    /// which reason counter the eviction lands in.
-    fn evict_one(&self, for_bytes: bool) -> bool {
-        struct Victim {
-            class: i32,
-            last_hit: u64,
-            key: String,
-            is_rtc: bool,
-            shard: usize,
-            epoch: u64,
-        }
-        let pinned: FxHashSet<u64> = lock(&self.pinned).keys().copied().collect();
-        let mut victim: Option<Victim> = None;
-        let mut consider = |cand: Victim| {
-            let better = match &victim {
-                None => true,
-                Some(cur) => {
-                    (cand.class, cand.last_hit, &cand.key, cand.is_rtc)
-                        < (cur.class, cur.last_hit, &cur.key, cur.is_rtc)
-                }
-            };
-            if better {
-                victim = Some(cand);
-            }
-        };
-        for (i, shard) in self.shards.iter().enumerate() {
-            for (key, entry) in read(&shard.rtcs).iter() {
-                if pinned.contains(&entry.epoch) {
-                    continue;
-                }
-                consider(Victim {
-                    class: entry.meta.score_class(),
-                    last_hit: entry.meta.last_hit.load(Ordering::Relaxed),
-                    key: key.clone(),
-                    is_rtc: true,
-                    shard: i,
-                    epoch: entry.epoch,
-                });
-            }
-            for (key, entry) in read(&shard.fulls).iter() {
-                if pinned.contains(&entry.epoch) {
-                    continue;
-                }
-                consider(Victim {
-                    class: entry.meta.score_class(),
-                    last_hit: entry.meta.last_hit.load(Ordering::Relaxed),
-                    key: key.clone(),
-                    is_rtc: false,
-                    shard: i,
-                    epoch: entry.epoch,
-                });
-            }
-        }
-        let Some(v) = victim else {
-            return false;
-        };
-        // Re-check under the write lock: the entry may have been claimed,
-        // replaced or re-pinned since the scan. A lost race still returns
-        // `true` — the caller loops and re-reads occupancy.
-        let shard = &self.shards[v.shard];
-        let removed = if v.is_rtc {
-            let mut map = write(&shard.rtcs);
-            match map.get(&v.key) {
-                Some(e) if e.epoch == v.epoch && !self.is_pinned(e.epoch) => {
-                    let e = map.remove(&v.key).expect("victim present");
-                    self.note_remove(&e.meta);
-                    true
-                }
-                _ => false,
-            }
-        } else {
-            let mut map = write(&shard.fulls);
-            match map.get(&v.key) {
-                Some(e) if e.epoch == v.epoch && !self.is_pinned(e.epoch) => {
-                    let e = map.remove(&v.key).expect("victim present");
-                    self.note_remove(&e.meta);
-                    true
-                }
-                _ => false,
-            }
-        };
-        if removed {
-            if for_bytes {
-                self.ev_bytes.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.ev_entries.fetch_add(1, Ordering::Relaxed);
-            }
-            self.remember_evicted(if v.is_rtc { 'r' } else { 'f' }, &v.key);
-        }
-        true
-    }
-
-    /// Drops unpinned entries whose build epoch trails the live epoch by
-    /// more than the budget's `ttl_epochs` (no-op without one). Runs on
-    /// every [`SharedCache::advance_epoch`]; public so servers can sweep
-    /// on their own cadence too. Merely-stale entries inside the TTL are
-    /// deliberately kept — they are what incremental refresh feeds on.
-    pub fn sweep(&self) {
-        let Some(ttl) = self.budget.ttl_epochs else {
-            return;
-        };
-        let live = self.epoch();
-        let pinned: FxHashSet<u64> = lock(&self.pinned).keys().copied().collect();
-        let expired = |epoch: u64| !pinned.contains(&epoch) && live.saturating_sub(epoch) > ttl;
-        for shard in &self.shards {
-            let mut rtcs = write(&shard.rtcs);
-            let doomed: Vec<String> = rtcs
-                .iter()
-                .filter(|(_, e)| expired(e.epoch))
-                .map(|(k, _)| k.clone())
-                .collect();
-            for key in doomed {
-                let entry = rtcs.remove(&key).expect("expired entry present");
-                self.note_remove(&entry.meta);
-                self.ev_ttl.fetch_add(1, Ordering::Relaxed);
-                self.remember_evicted('r', &key);
-            }
-            drop(rtcs);
-            let mut fulls = write(&shard.fulls);
-            let doomed: Vec<String> = fulls
-                .iter()
-                .filter(|(_, e)| expired(e.epoch))
-                .map(|(k, _)| k.clone())
-                .collect();
-            for key in doomed {
-                let entry = fulls.remove(&key).expect("expired entry present");
-                self.note_remove(&entry.meta);
-                self.ev_ttl.fetch_add(1, Ordering::Relaxed);
-                self.remember_evicted('f', &key);
-            }
-        }
-    }
-
-    /// Merges another cache's contents into this one: counters add up, and
-    /// per key the entry from the **newest epoch** wins (ties keep the
-    /// existing entry; structures are deterministic per `(key, epoch)`, so
-    /// which clone survives is immaterial). Kept for workers that evaluate
-    /// against a private snapshot; the engine's parallel batch mode now
-    /// shares one cache directly instead.
-    pub fn absorb(&self, other: SharedCache) {
-        self.hits.fetch_add(other.hits(), Ordering::Relaxed);
-        self.misses.fetch_add(other.misses(), Ordering::Relaxed);
-        self.stale_hits
-            .fetch_add(other.stale_hits(), Ordering::Relaxed);
-        let ev = other.eviction_counters();
-        self.ev_bytes.fetch_add(ev.by_bytes, Ordering::Relaxed);
-        self.ev_entries.fetch_add(ev.by_entries, Ordering::Relaxed);
-        self.ev_ttl.fetch_add(ev.by_ttl, Ordering::Relaxed);
-        self.ev_stale.fetch_add(ev.by_stale, Ordering::Relaxed);
-        self.rebuilds_after_evict
-            .fetch_add(ev.rebuilds_after_evict, Ordering::Relaxed);
-        // Shard selection depends only on the key, so shard i of `other`
-        // merges into shard i of `self`.
-        for (mine, theirs) in self.shards.iter().zip(other.shards) {
-            let rtcs = theirs
-                .rtcs
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner);
-            let mut map = write(&mine.rtcs);
-            for (key, entry) in rtcs {
-                match map.get(&key) {
-                    Some(existing) if existing.epoch >= entry.epoch => {}
-                    _ => {
-                        let bytes = entry.meta.bytes;
-                        let replaced = map.insert(key, entry);
-                        self.note_insert(bytes, replaced.as_ref().map(|e| &e.meta));
-                    }
-                }
-            }
-            drop(map);
-            let fulls = theirs
-                .fulls
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner);
-            let mut map = write(&mine.fulls);
-            for (key, entry) in fulls {
-                match map.get(&key) {
-                    Some(existing) if existing.epoch >= entry.epoch => {}
-                    _ => {
-                        let bytes = entry.meta.bytes;
-                        let replaced = map.insert(key, entry);
-                        self.note_insert(bytes, replaced.as_ref().map(|e| &e.meta));
-                    }
-                }
-            }
-        }
-        // A bulk merge bypasses the per-insert enforcement; settle the
-        // budget once at the end.
-        self.enforce_budget();
-    }
-
-    /// Drops all cached structures and resets counters (the epoch is
-    /// preserved — it tracks the graph, not the contents).
+    /// Drops all cached structures and resets counters; the epoch stays.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            write(&shard.rtcs).clear();
-            write(&shard.fulls).clear();
-        }
-        self.occ_bytes.store(0, Ordering::Release);
-        self.occ_entries.store(0, Ordering::Release);
-        self.reset_counters();
+        self.map.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpq_graph::PairSet;
 
     fn sample_pairs() -> PairSet {
         [(0u32, 1u32), (1, 0)].into_iter().collect()
     }
 
-    fn sample_rtc() -> Arc<Rtc> {
-        Arc::new(Rtc::from_pairs(&sample_pairs()))
+    fn rtc(r_g: Option<PairSet>) -> SharedStructure {
+        SharedStructure::Rtc {
+            rtc: Arc::new(Rtc::from_pairs(&sample_pairs())),
+            r_g: r_g.map(Arc::new),
+            dynamic: None,
+        }
+    }
+
+    fn full(pairs: &PairSet) -> SharedStructure {
+        SharedStructure::Full {
+            full: Arc::new(FullTc::from_pairs(pairs)),
+            r_g: Some(Arc::new(pairs.clone())),
+        }
+    }
+
+    /// Inserts at the live epoch with no measured build cost.
+    fn put(c: &SharedCache, key: &str, structure: SharedStructure) {
+        c.insert(key.into(), structure, c.epoch(), Duration::ZERO);
+    }
+
+    fn fresh_rtc(c: &SharedCache, key: &str) -> bool {
+        c.contains_fresh(SharingKind::Rtc, key)
     }
 
     #[test]
     fn hit_miss_accounting() {
-        let c = SharedCache::new();
-        assert!(c.get_rtc("a.b").is_none());
+        let c = SharedCache::default();
+        assert!(matches!(c.lookup_rtc_at("a.b", 0), RtcLookup::Miss));
         assert_eq!(c.misses(), 1);
-        c.insert_rtc("a.b".into(), sample_rtc());
-        assert!(c.get_rtc("a.b").is_some());
+        put(&c, "a.b", rtc(None));
+        assert!(matches!(c.lookup_rtc_at("a.b", 0), RtcLookup::Fresh(_)));
         assert_eq!(c.hits(), 1);
         assert_eq!(c.rtc_count(), 1);
     }
 
     #[test]
     fn shared_pair_totals() {
-        let c = SharedCache::new();
-        c.insert_rtc("a.b".into(), sample_rtc());
+        let c = SharedCache::default();
+        put(&c, "a.b", rtc(None));
         // One 2-cycle SCC with a self-reach: closure has 1 pair.
         assert_eq!(c.rtc_shared_pairs(), 1);
-        c.insert_full("a.b".into(), Arc::new(FullTc::from_pairs(&sample_pairs())));
+        assert_eq!(c.rtc_total_sccs(), 1);
+        put(&c, "a.b", full(&sample_pairs()));
         // Full closure: both vertices reach both → 4 pairs.
         assert_eq!(c.full_shared_pairs(), 4);
+        assert_eq!(c.full_total_vertices(), 2);
+    }
+
+    #[test]
+    fn rtc_and_full_are_independent_namespaces() {
+        let c = SharedCache::default();
+        put(&c, "k", rtc(None));
+        assert!(matches!(c.lookup_full_at("k", 0), FullLookup::Miss));
+        assert_eq!(c.full_count(), 0);
+        put(&c, "k", full(&sample_pairs()));
+        assert_eq!((c.rtc_count(), c.full_count()), (1, 1));
+        assert_eq!(c.occupancy_entries(), 2);
+    }
+
+    /// The byte budget counts each structure's tables plus its recorded
+    /// base relation.
+    #[test]
+    fn occupancy_counts_structures_and_base_relations() {
+        let c = SharedCache::default();
+        put(&c, "k", rtc(Some(sample_pairs())));
+        assert_eq!(
+            c.occupancy_bytes(),
+            c.rtc_heap_bytes() + sample_pairs().heap_bytes()
+        );
     }
 
     #[test]
     fn clear_resets_everything() {
-        let c = SharedCache::new();
-        c.insert_rtc("x".into(), sample_rtc());
-        let _ = c.get_rtc("x");
+        let c = SharedCache::default();
+        put(&c, "x", rtc(None));
+        let _ = c.lookup_rtc_at("x", 0);
         c.clear();
         assert_eq!(c.rtc_count(), 0);
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 0);
+        assert_eq!((c.hits(), c.misses(), c.occupancy_bytes()), (0, 0, 0));
     }
 
     #[test]
     fn reset_counters_preserves_structures() {
-        let c = SharedCache::new();
-        c.insert_rtc("x".into(), sample_rtc());
-        let _ = c.get_rtc("x");
-        let _ = c.get_rtc("missing");
+        let c = SharedCache::default();
+        put(&c, "x", rtc(None));
+        let _ = c.lookup_rtc_at("x", 0);
+        let _ = c.lookup_rtc_at("missing", 0);
         assert_eq!((c.hits(), c.misses()), (1, 1));
         c.reset_counters();
         assert_eq!((c.hits(), c.misses()), (0, 0));
@@ -1392,248 +560,106 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_counters_and_missing_structures() {
-        let main = SharedCache::new();
-        main.insert_rtc("shared".into(), sample_rtc());
-        let _ = main.get_rtc("shared"); // 1 hit
-
-        let worker = main.clone();
-        worker.reset_counters();
-        let _ = worker.get_rtc("shared"); // 1 worker hit
-        let _ = worker.get_rtc("extra"); // 1 worker miss
-        worker.insert_rtc("extra".into(), sample_rtc());
-
-        main.absorb(worker);
-        assert_eq!(main.hits(), 2);
-        assert_eq!(main.misses(), 1);
-        assert_eq!(main.rtc_count(), 2);
-    }
-
-    #[test]
-    fn clone_is_a_cheap_shared_snapshot() {
-        let c = SharedCache::new();
-        let rtc = sample_rtc();
-        c.insert_rtc("k".into(), Arc::clone(&rtc));
-        let snapshot = c.clone();
-        // The clone shares the same Arc'd structure, not a deep copy.
-        assert_eq!(snapshot.rtc_count(), 1);
-        assert_eq!(Arc::strong_count(&rtc), 3); // local + cache + snapshot
-    }
-
-    #[test]
-    fn rtc_and_full_are_independent_namespaces() {
-        let c = SharedCache::new();
-        c.insert_rtc("k".into(), sample_rtc());
-        assert!(c.get_full("k").is_none());
-        assert_eq!(c.full_count(), 0);
-    }
-
-    #[test]
     fn entries_go_stale_when_the_epoch_advances() {
-        let c = SharedCache::new();
-        let r_g = Arc::new(sample_pairs());
-        c.insert_rtc_entry("k".into(), sample_rtc(), Arc::clone(&r_g), None);
-        assert!(c.contains_fresh_rtc("k"));
+        let c = SharedCache::default();
+        put(&c, "k", rtc(Some(sample_pairs())));
+        assert!(fresh_rtc(&c, "k"));
         c.advance_epoch(1);
-        assert!(!c.contains_fresh_rtc("k"));
-        // The legacy getter refuses stale entries...
-        assert!(c.get_rtc("k").is_none());
-        // ...while the epoch-aware lookup hands back the refresh state.
-        match c.lookup_rtc("k") {
-            RtcLookup::Stale(stale) => assert_eq!(*stale.r_g.unwrap(), *r_g),
+        assert!(!fresh_rtc(&c, "k"));
+        // The live lookup claims the entry with its refresh state.
+        match c.lookup_rtc_at("k", 1) {
+            RtcLookup::Stale(stale) => assert_eq!(*stale.r_g.unwrap(), sample_pairs()),
             _ => panic!("expected a stale entry"),
         }
-        assert_eq!(c.stale_hits(), 1);
+        assert_eq!((c.stale_hits(), c.rtc_count()), (1, 0));
         // Re-inserting at the new epoch makes it fresh again.
-        c.insert_rtc_entry("k".into(), sample_rtc(), r_g, None);
-        assert!(matches!(c.lookup_rtc("k"), RtcLookup::Fresh(_)));
+        put(&c, "k", rtc(Some(sample_pairs())));
+        assert!(matches!(c.lookup_rtc_at("k", 1), RtcLookup::Fresh(_)));
     }
 
+    /// Full closures are claimed like RTCs, so refreshing one is not a
+    /// `by_stale` eviction.
     #[test]
-    fn full_entries_go_stale_too() {
-        let c = SharedCache::new();
-        c.insert_full_entry(
-            "k".into(),
-            Arc::new(FullTc::from_pairs(&sample_pairs())),
-            Arc::new(sample_pairs()),
-        );
+    fn full_entries_are_claimed_when_stale_too() {
+        let c = SharedCache::default();
+        put(&c, "k", full(&sample_pairs()));
         c.advance_epoch(3);
-        assert!(matches!(c.lookup_full("k"), FullLookup::Stale(_)));
-        assert!(c.get_full("k").is_none());
-        assert!(!c.contains_fresh_full("k"));
+        assert!(!c.contains_fresh(SharingKind::Full, "k"));
+        match c.lookup_full_at("k", 3) {
+            FullLookup::Stale(stale) => assert_eq!(*stale.r_g.unwrap(), sample_pairs()),
+            _ => panic!("expected a stale entry"),
+        }
+        assert_eq!(c.full_count(), 0);
+        put(&c, "k", full(&sample_pairs()));
+        assert_eq!(c.eviction_counters().total(), 0);
     }
 
     #[test]
     fn pinned_lookup_hits_its_own_epoch_after_the_front_moves() {
-        let c = SharedCache::new();
-        c.insert_rtc("k".into(), sample_rtc());
+        let c = SharedCache::default();
+        put(&c, "k", rtc(None));
         c.advance_epoch(2);
-        // Live lookups see a stale entry; a reader pinned to epoch 0 still
-        // gets a fresh hit — and, being a read, must not claim anything.
+        // A reader pinned to epoch 0 still gets a fresh hit — and, being
+        // a read, must not claim anything.
         assert!(matches!(c.lookup_rtc_at("k", 0), RtcLookup::Fresh(_)));
         assert_eq!(c.rtc_count(), 1);
         assert_eq!((c.hits(), c.stale_hits()), (1, 0));
-    }
-
-    #[test]
-    fn pinned_lookup_never_claims_other_epochs() {
-        let c = SharedCache::new();
-        c.insert_rtc("k".into(), sample_rtc());
-        c.advance_epoch(5);
-        // Pinned to epoch 3: the epoch-0 entry is neither fresh (wrong
-        // epoch) nor claimable (3 is not the live epoch) — a plain miss
-        // that leaves the entry for the live readers to refresh.
-        assert!(matches!(c.lookup_rtc_at("k", 3), RtcLookup::Miss));
-        assert_eq!(c.rtc_count(), 1);
-        assert_eq!(c.misses(), 1);
-        assert!(matches!(c.lookup_full_at("missing", 3), FullLookup::Miss));
+        // Pinned to epoch 1: neither fresh nor claimable — a plain miss.
+        assert!(matches!(c.lookup_rtc_at("k", 1), RtcLookup::Miss));
+        assert!(matches!(c.lookup_full_at("k", 1), FullLookup::Miss));
+        assert_eq!((c.rtc_count(), c.misses()), (1, 2));
     }
 
     #[test]
     fn pinned_insert_never_displaces_newer_entries() {
-        let c = SharedCache::new();
+        let c = SharedCache::default();
         c.advance_epoch(4);
-        c.insert_rtc("k".into(), sample_rtc()); // stamped 4 (live)
-        c.insert_rtc_at("k".into(), sample_rtc(), 1); // old view: ignored
-        assert!(c.contains_fresh_rtc("k"));
-        c.insert_full("f".into(), Arc::new(FullTc::from_pairs(&sample_pairs())));
-        c.insert_full_entry_at(
-            "f".into(),
-            Arc::new(FullTc::from_pairs(&PairSet::new())),
-            Arc::new(PairSet::new()),
-            2,
-        );
-        assert!(c.contains_fresh_full("f"));
+        put(&c, "f", full(&sample_pairs())); // stamped 4 (live)
+        let old = full(&PairSet::new());
+        c.insert("f".into(), old, 2, Duration::ZERO); // old view: ignored
+        assert!(c.contains_fresh(SharingKind::Full, "f"));
         assert_eq!(c.full_shared_pairs(), 4); // the epoch-4 entry survived
-                                              // An old-epoch insert under a *new* key does land (epoch 1).
-        c.insert_rtc_entry_at(
-            "old-only".into(),
-            sample_rtc(),
-            Arc::new(sample_pairs()),
-            None,
-            1,
-        );
-        assert!(matches!(
-            c.lookup_rtc_at("old-only", 1),
-            RtcLookup::Fresh(_)
-        ));
-        assert!(!c.contains_fresh_rtc("old-only"));
     }
 
     #[test]
-    #[should_panic(expected = "monotone")]
-    fn epoch_cannot_move_backward() {
-        let c = SharedCache::new();
-        c.advance_epoch(2);
+    fn fresh_entries_are_point_in_time_copies_best_to_keep_first() {
+        let c = SharedCache::default();
+        for (key, nanos) in [("cheap", 1_000u64), ("dear", 900_000)] {
+            c.insert(
+                key.into(),
+                rtc(Some(sample_pairs())),
+                0,
+                Duration::from_nanos(nanos),
+            );
+        }
+        let fresh = c.fresh_entries();
+        let keys: Vec<&str> = fresh.iter().map(|e| e.0.as_str()).collect();
+        assert_eq!(keys, ["dear", "cheap"]);
+        assert!(fresh.iter().all(|e| e.2 == c.occupancy_bytes() / 2));
         c.advance_epoch(1);
-    }
-
-    #[test]
-    fn absorb_prefers_newer_epochs() {
-        let main = SharedCache::new();
-        main.insert_rtc("k".into(), sample_rtc());
-        let worker = main.clone();
-        worker.advance_epoch(1);
-        let fresh = sample_rtc();
-        worker.insert_rtc_entry(
-            "k".into(),
-            Arc::clone(&fresh),
-            Arc::new(sample_pairs()),
-            None,
-        );
-        main.advance_epoch(1);
-        main.absorb(worker);
-        // The epoch-1 entry from the worker displaced the stale epoch-0 one.
-        assert!(main.contains_fresh_rtc("k"));
-    }
-
-    #[test]
-    fn fresh_entries_are_point_in_time_copies() {
-        let c = SharedCache::new();
-        c.insert_rtc_entry("k".into(), sample_rtc(), Arc::new(sample_pairs()), None);
-        c.insert_rtc("stale-after-advance".into(), sample_rtc());
-        let fresh = c.fresh_rtc_entries();
-        assert_eq!(fresh.len(), 2);
-        c.advance_epoch(1);
-        assert!(c.fresh_rtc_entries().is_empty());
+        assert!(c.fresh_entries().is_empty());
         // The earlier copy is unaffected by the advance.
         assert_eq!(fresh.len(), 2);
     }
 
-    /// The counters are atomics precisely so `metrics`/`reset_metrics`
-    /// stay correct while concurrent readers hammer the cache — this
-    /// pins the accounting under real threads (ISSUE 5 satellite).
     #[test]
-    fn counters_are_exact_under_concurrent_readers() {
-        const THREADS: usize = 8;
-        const LOOKUPS: u64 = 200;
-        let c = SharedCache::new();
-        c.insert_rtc("warm".into(), sample_rtc());
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let c = &c;
-                s.spawn(move || {
-                    for i in 0..LOOKUPS {
-                        // Every thread alternates one guaranteed hit and
-                        // one guaranteed miss (a key nobody inserts).
-                        assert!(c.get_rtc("warm").is_some());
-                        assert!(c.get_rtc(&format!("missing-{t}-{i}")).is_none());
-                    }
-                });
-            }
-        });
-        assert_eq!(c.hits(), THREADS as u64 * LOOKUPS);
-        assert_eq!(c.misses(), THREADS as u64 * LOOKUPS);
-        c.reset_counters();
-        assert_eq!((c.hits(), c.misses(), c.stale_hits()), (0, 0, 0));
-        assert_eq!(c.rtc_count(), 1);
-    }
-
-    /// Concurrent fillers racing on the same and different keys leave the
-    /// cache consistent: every key present, every entry fresh.
-    #[test]
-    fn concurrent_inserts_and_lookups_stay_consistent() {
-        const THREADS: usize = 8;
-        let c = SharedCache::new();
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let c = &c;
-                s.spawn(move || {
-                    for round in 0..50 {
-                        let contended = format!("key-{}", round % 4);
-                        let private = format!("key-{t}-{round}");
-                        c.insert_rtc(contended.clone(), sample_rtc());
-                        c.insert_rtc(private.clone(), sample_rtc());
-                        assert!(c.get_rtc(&contended).is_some());
-                        assert!(c.get_rtc(&private).is_some());
-                    }
-                });
-            }
-        });
-        // 4 contended keys + one private key per (thread, round).
-        assert_eq!(c.rtc_count(), 4 + THREADS * 50);
-        assert_eq!(c.fresh_rtc_entries().len(), c.rtc_count());
-        assert_eq!(c.misses(), 0);
-    }
-
-    use std::time::Duration;
-
-    fn insert_costed(c: &SharedCache, key: &str, epoch: u64, nanos: u64) {
-        c.insert_rtc_entry_costed(
-            key.into(),
-            sample_rtc(),
-            Arc::new(sample_pairs()),
-            None,
-            epoch,
-            Duration::from_nanos(nanos),
-        );
-    }
-
-    /// Bytes one sample entry occupies (same structures every time).
-    fn unit_bytes() -> usize {
-        let probe = SharedCache::new();
-        insert_costed(&probe, "probe", 0, 1);
-        probe.occupancy_bytes()
+    fn epoch_pins_guard_until_dropped() {
+        let c = Arc::new(SharedCache::with_budget(CacheBudget {
+            max_entries: Some(1),
+            ..Default::default()
+        }));
+        put(&c, "a", rtc(None));
+        let pin = EpochPin::new(Arc::clone(&c), 0);
+        assert_eq!(pin.epoch(), 0);
+        assert_eq!(c.pinned_occupancy_bytes(), c.occupancy_bytes());
+        c.advance_epoch(1);
+        put(&c, "b", rtc(None)); // over budget; only "b" is evictable
+        assert!(matches!(c.lookup_rtc_at("a", 0), RtcLookup::Fresh(_)));
+        drop(pin);
+        assert_eq!(c.pinned_occupancy_bytes(), 0);
+        put(&c, "b", rtc(None));
+        assert_eq!(c.occupancy_entries(), 1);
+        assert!(matches!(c.lookup_rtc_at("a", 0), RtcLookup::Miss));
     }
 
     #[test]
@@ -1660,197 +686,5 @@ mod tests {
         assert_eq!(CacheBudget::default().to_string(), "unbounded");
         assert!(CacheBudget::default().is_unbounded());
         assert!(!full.is_unbounded());
-    }
-
-    #[test]
-    fn occupancy_tracks_every_mutation() {
-        let c = SharedCache::new();
-        assert_eq!((c.occupancy_bytes(), c.occupancy_entries()), (0, 0));
-        insert_costed(&c, "a", 0, 10);
-        let unit = c.occupancy_bytes();
-        assert!(unit > 0);
-        assert_eq!(c.occupancy_entries(), 1);
-        // Replacement at the same key does not double-count.
-        insert_costed(&c, "a", 0, 20);
-        assert_eq!((c.occupancy_bytes(), c.occupancy_entries()), (unit, 1));
-        insert_costed(&c, "b", 0, 10);
-        assert_eq!(c.occupancy_entries(), 2);
-        // A stale claim removes the entry and its footprint.
-        c.advance_epoch(1);
-        assert!(matches!(c.lookup_rtc("a"), RtcLookup::Stale(_)));
-        assert_eq!((c.occupancy_bytes(), c.occupancy_entries()), (unit, 1));
-        c.clear();
-        assert_eq!((c.occupancy_bytes(), c.occupancy_entries()), (0, 0));
-    }
-
-    #[test]
-    fn byte_budget_evicts_lowest_score_first() {
-        let unit = unit_bytes();
-        let c = SharedCache::with_budget(CacheBudget {
-            max_bytes: Some(2 * unit),
-            ..Default::default()
-        });
-        insert_costed(&c, "expensive", 0, 30_000);
-        insert_costed(&c, "cheap", 0, 1_000);
-        insert_costed(&c, "middling", 0, 20_000);
-        // Equal bytes, so the lowest build cost scores lowest and goes.
-        assert_eq!(c.occupancy_entries(), 2);
-        assert!(c.occupancy_bytes() <= 2 * unit);
-        assert!(c.contains_fresh_rtc("expensive"));
-        assert!(c.contains_fresh_rtc("middling"));
-        assert!(!c.contains_fresh_rtc("cheap"));
-        assert_eq!(c.eviction_counters().by_bytes, 1);
-        // The miss that rebuilds the evicted key is counted once.
-        assert!(c.get_rtc("cheap").is_none());
-        assert!(c.get_rtc("cheap").is_none());
-        assert_eq!(c.eviction_counters().rebuilds_after_evict, 1);
-    }
-
-    #[test]
-    fn entry_budget_evicts_with_recency_tie_break() {
-        let c = SharedCache::with_budget(CacheBudget {
-            max_entries: Some(2),
-            ..Default::default()
-        });
-        // Identical scores: the least-recently-hit entry goes.
-        insert_costed(&c, "old", 0, 5_000);
-        insert_costed(&c, "warm", 0, 5_000);
-        assert!(c.get_rtc("old").is_some()); // "old" now most recent
-        insert_costed(&c, "new", 0, 5_000);
-        assert_eq!(c.occupancy_entries(), 2);
-        assert!(c.contains_fresh_rtc("old"));
-        assert!(!c.contains_fresh_rtc("warm"));
-        assert!(c.contains_fresh_rtc("new"));
-        assert_eq!(c.eviction_counters().by_entries, 1);
-    }
-
-    /// Scores within the same order of magnitude count as a tie —
-    /// measured build times jitter, and a raw float comparison would let
-    /// a hot entry lose to a cold one over measurement noise.
-    #[test]
-    fn comparable_scores_tie_and_recency_decides() {
-        let c = SharedCache::with_budget(CacheBudget {
-            max_entries: Some(2),
-            ..Default::default()
-        });
-        // "hot" measured slightly cheaper than "cold" (same power-of-8
-        // bucket): under a raw float comparison "hot" would be the
-        // victim; under class comparison they tie and recency keeps it.
-        insert_costed(&c, "hot", 0, 5_000);
-        insert_costed(&c, "cold", 0, 6_000);
-        assert!(c.get_rtc("hot").is_some()); // "hot" now most recent
-        insert_costed(&c, "new", 0, 5_500);
-        assert!(c.contains_fresh_rtc("hot"));
-        assert!(!c.contains_fresh_rtc("cold"));
-        // An order-of-magnitude gap is *not* a tie: the far cheaper
-        // rebuild goes first no matter how recently it arrived — here
-        // the newcomer itself, evicted by its own insert's enforcement.
-        insert_costed(&c, "trivial", 0, 5_500 / 100);
-        assert!(!c.contains_fresh_rtc("trivial"));
-        assert!(c.contains_fresh_rtc("hot"));
-        assert!(c.contains_fresh_rtc("new"));
-    }
-
-    #[test]
-    fn pinned_epochs_survive_eviction() {
-        let c = Arc::new(SharedCache::with_budget(CacheBudget {
-            max_entries: Some(1),
-            ..Default::default()
-        }));
-        insert_costed(&c, "a", 0, 100);
-        let pin = EpochPin::new(Arc::clone(&c), 0);
-        assert_eq!(pin.epoch(), 0);
-        assert!(c.is_pinned(0));
-        assert_eq!(c.pinned_occupancy_bytes(), c.occupancy_bytes());
-        c.advance_epoch(1);
-        // Over budget, but only the unpinned newcomer is evictable — the
-        // pinned epoch-0 entry keeps serving its view.
-        insert_costed(&c, "b", 1, 1_000_000);
-        assert_eq!(c.occupancy_entries(), 1);
-        assert!(matches!(c.lookup_rtc_at("a", 0), RtcLookup::Fresh(_)));
-        // Dropping the pin makes epoch 0 evictable again.
-        drop(pin);
-        assert!(!c.is_pinned(0));
-        insert_costed(&c, "b", 1, 1_000_000);
-        assert_eq!(c.occupancy_entries(), 1);
-        assert!(matches!(c.lookup_rtc_at("a", 0), RtcLookup::Miss));
-        assert!(c.contains_fresh_rtc("b"));
-    }
-
-    #[test]
-    fn ttl_sweep_drops_entries_behind_the_live_epoch() {
-        let c = SharedCache::with_budget(CacheBudget {
-            ttl_epochs: Some(1),
-            ..Default::default()
-        });
-        insert_costed(&c, "k", 0, 100);
-        c.insert_full_entry(
-            "k".into(),
-            Arc::new(FullTc::from_pairs(&sample_pairs())),
-            Arc::new(sample_pairs()),
-        );
-        c.advance_epoch(1); // lag 1 ≤ ttl: kept (still refreshable)
-        assert_eq!(c.occupancy_entries(), 2);
-        c.advance_epoch(2); // lag 2 > ttl: swept
-        assert_eq!(c.occupancy_entries(), 0);
-        assert_eq!(c.eviction_counters().by_ttl, 2);
-    }
-
-    #[test]
-    fn ttl_sweep_spares_pinned_epochs() {
-        let c = Arc::new(SharedCache::with_budget(CacheBudget {
-            ttl_epochs: Some(0),
-            ..Default::default()
-        }));
-        insert_costed(&c, "k", 0, 100);
-        let pin = EpochPin::new(Arc::clone(&c), 0);
-        c.advance_epoch(5);
-        assert!(matches!(c.lookup_rtc_at("k", 0), RtcLookup::Fresh(_)));
-        drop(pin);
-        c.sweep();
-        assert_eq!(c.occupancy_entries(), 0);
-    }
-
-    #[test]
-    fn stale_displacement_is_counted() {
-        let c = SharedCache::new();
-        insert_costed(&c, "k", 0, 100);
-        c.advance_epoch(1);
-        // Re-inserting the key at the new epoch displaces the stale one.
-        insert_costed(&c, "k", 1, 100);
-        assert_eq!(c.eviction_counters().by_stale, 1);
-        assert_eq!(c.occupancy_entries(), 1);
-    }
-
-    #[test]
-    fn clone_carries_budget_and_occupancy() {
-        let unit = unit_bytes();
-        let c = SharedCache::with_budget(CacheBudget {
-            max_bytes: Some(10 * unit),
-            ..Default::default()
-        });
-        insert_costed(&c, "a", 0, 100);
-        let snapshot = c.clone();
-        assert_eq!(snapshot.budget(), c.budget());
-        assert_eq!(snapshot.occupancy_bytes(), c.occupancy_bytes());
-        assert_eq!(snapshot.occupancy_entries(), 1);
-    }
-
-    #[test]
-    fn absorb_enforces_the_budget_and_accounts_occupancy() {
-        let c = SharedCache::with_budget(CacheBudget {
-            max_entries: Some(2),
-            ..Default::default()
-        });
-        let worker = SharedCache::new();
-        insert_costed(&worker, "a", 0, 30_000);
-        insert_costed(&worker, "b", 0, 1_000);
-        insert_costed(&worker, "c", 0, 20_000);
-        c.absorb(worker);
-        assert_eq!(c.occupancy_entries(), 2);
-        assert!(c.contains_fresh_rtc("a"));
-        assert!(!c.contains_fresh_rtc("b"));
-        assert!(c.contains_fresh_rtc("c"));
-        assert!(c.eviction_counters().by_entries >= 1);
     }
 }

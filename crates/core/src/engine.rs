@@ -493,11 +493,7 @@ impl<'g> Engine<'g> {
             let body = Regex::parse(key).map_err(EngineError::Parse)?;
             // Stale entries do not count as reusable: the evaluation below
             // refreshes them to the current epoch.
-            let already = match kind {
-                SharingKind::Rtc => self.cache.contains_fresh_rtc(key),
-                SharingKind::Full => self.cache.contains_fresh_full(key),
-            };
-            if already {
+            if self.cache.contains_fresh(kind, key) {
                 report.bodies_reused += 1;
                 continue;
             }
@@ -1036,6 +1032,35 @@ mod tests {
         assert_eq!(e.maintenance_metrics().unchanged_refreshes, 1);
         assert_eq!(e.maintenance_metrics().incremental_refreshes, 0);
         assert_eq!(e.shared_data_pairs(), before_pairs);
+    }
+
+    /// A refresh claims the stale entry and re-inserts it, so on an
+    /// unbounded cache neither sharing strategy reports an eviction.
+    #[test]
+    fn refreshes_are_not_evictions_for_either_strategy() {
+        for strategy in [Strategy::RtcSharing, Strategy::FullSharing] {
+            let config = EngineConfig {
+                strategy,
+                cache_budget: CacheBudget::default(),
+                ..EngineConfig::default()
+            };
+            let mut e = Engine::with_config_versioned(VersionedGraph::new(paper_graph()), config);
+            let q = Regex::parse("(a.b)+").unwrap();
+            e.evaluate(&q).unwrap();
+            for (src, dst) in [(5, 6), (6, 7), (7, 8)] {
+                let mut delta = rpq_graph::GraphDelta::new();
+                delta.insert(src, "a", dst).insert(dst, "b", src);
+                e.apply_delta(&delta);
+                e.evaluate(&q).unwrap();
+            }
+            assert_eq!(e.cache().stale_hits(), 3, "{strategy}");
+            assert_eq!(
+                e.cache().eviction_counters(),
+                crate::EvictionCounters::default(),
+                "{strategy}"
+            );
+            assert_eq!(e.cache().occupancy_entries(), 1, "{strategy}");
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@
 
 pub mod batch_unit;
 pub mod breakdown;
+mod budgeted_map;
 pub mod cache;
 pub mod engine;
 pub mod error;
@@ -35,8 +36,8 @@ pub mod view;
 pub use batch_unit::{eval_batch_unit_full, eval_batch_unit_rtc};
 pub use breakdown::{Breakdown, EliminationStats, MaintenanceMetrics};
 pub use cache::{
-    CacheBudget, EpochPin, EvictionCounters, FullLookup, RtcLookup, SharedCache, StaleFull,
-    StaleRtc,
+    CacheBudget, EpochPin, EvictionCounters, FullLookup, Lookup, RtcLookup, SharedCache,
+    SharedStructure, StaleFull, StaleRtc,
 };
 pub use engine::{Engine, EngineConfig, PrepareReport, Strategy};
 pub use error::EngineError;

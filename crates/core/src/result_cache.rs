@@ -1,202 +1,87 @@
 //! The bounded per-(epoch, query) result cache layered **above** the
-//! structural [`crate::SharedCache`].
+//! structural [`crate::SharedCache`]: where that cache shares closure
+//! *ingredients* across queries, this one memoizes whole materialized
+//! results. That is sound only because an [`crate::EpochView`] freezes
+//! the graph a result was computed against, so the key is `(epoch,
+//! canonical query text)`. Results are identical across strategies and
+//! thread counts (property-tested), so the key omits the evaluation
+//! configuration: one connection's result is a hit for every other
+//! connection at the same epoch.
 //!
-//! The structural cache shares closure *ingredients* (RTCs, full
-//! closures) across queries; this cache memoizes whole materialized
-//! result sets. That is only sound when the graph the result was computed
-//! against can never change underneath the entry — which is exactly what
-//! an [`crate::EpochView`] guarantees, so the key is `(epoch, canonical
-//! query text)` and the serving layer's pinned readers are the only
-//! writers. Results are identical across strategies and thread counts
-//! (property-tested), so the key deliberately omits the evaluation
-//! configuration: a result computed by one connection's overlay is a hit
-//! for every other connection pinned to the same epoch.
-//!
-//! The cache is bounded — by entry count ([`ResultCache::capacity`])
-//! and optionally by heap bytes — because materialized results can dwarf
-//! the structures they were computed from, and epochs keep coming.
-//! Eviction uses the same cost-aware scoring as the structural cache
-//! (see [`crate::CacheBudget`]): the entry with the lowest
-//! `cost_to_rebuild / bytes` goes first, oldest-inserted among ties — so
-//! uncosted entries of equal size degrade to exactly the old FIFO
-//! behavior, and re-inserting an existing key never extends its
-//! eviction lifetime. Counters distinguish the serving
-//! layer's hit tiers: a **view hit** here short-circuits the whole
-//! evaluation; a miss falls through to the structural cache (whose own
-//! hit/miss counters make up the second tier).
+//! It is the second instance of the budgeted map behind the structural
+//! cache, with the same insert, lookup and victim rule; it is bounded by
+//! entry count and optionally by [`crate::CacheBudget::max_bytes`].
+//! Entries never go stale (their epoch is in the key), so the TTL does not
+//! apply, and it takes no epoch pins — pinning would make every retained
+//! server view's results unevictable. A **view hit** here skips the whole
+//! evaluation; a miss falls through to the structural cache.
 
+use crate::budgeted_map::{BudgetedMap, Counter, Lookup, Weigh};
+use crate::cache::CacheBudget;
 use rpq_graph::PairSet;
-use rustc_hash::FxHashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Default bound on memoized results (see [`ResultCache::with_capacity`]).
+/// Entry bound of an engine's result cache.
 pub const DEFAULT_RESULT_CACHE_ENTRIES: usize = 256;
 
-/// One memoized result with its retention metadata.
-struct Entry {
-    result: Arc<PairSet>,
-    /// Heap bytes of the materialized result.
-    bytes: usize,
-    /// Nanos the evaluation took — the cost a future miss pays again.
-    build_nanos: u64,
-    /// Insertion sequence — the tie-break among equal scores; preserved
-    /// on re-insert so replacing a value never extends the entry's
-    /// eviction lifetime.
-    seq: u64,
-}
-
-impl Entry {
-    /// Eviction score: rebuild nanos bought per retained byte; lowest
-    /// goes first.
-    fn score(&self) -> f64 {
-        self.build_nanos as f64 / self.bytes.max(1) as f64
+impl Weigh for Arc<PairSet> {
+    fn weigh(&self) -> usize {
+        self.as_ref().heap_bytes()
     }
-}
-
-/// The lock-protected interior.
-#[derive(Default)]
-struct Inner {
-    map: FxHashMap<(u64, String), Entry>,
-    /// Retained result bytes (maintained incrementally).
-    bytes: usize,
-    /// Next insertion sequence number.
-    seq: u64,
 }
 
 /// Bounded map from `(epoch, canonical query)` to a materialized result.
 ///
-/// All methods take `&self` (one mutex around the map, atomic counters):
-/// concurrent pinned readers look up and fill one cache. Entries are
-/// `Arc`-shared, so a hit costs one reference bump however large the
-/// result set is.
+/// All methods take `&self`: concurrent pinned readers look up and fill
+/// one cache. Entries are `Arc`-shared, so a hit costs one reference bump
+/// however large the result set is.
 pub struct ResultCache {
-    capacity: usize,
-    /// Optional heap-byte bound on retained results (the result-cache
-    /// half of [`crate::CacheBudget::max_bytes`]).
-    max_bytes: Option<usize>,
-    inner: Mutex<Inner>,
-    view_hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    map: BudgetedMap<(u64, String), Arc<PairSet>>,
 }
 
 impl Default for ResultCache {
+    /// An empty cache bounded to [`DEFAULT_RESULT_CACHE_ENTRIES`] with no
+    /// byte bound.
     fn default() -> Self {
-        Self::new()
+        Self::with_capacity_and_budget(DEFAULT_RESULT_CACHE_ENTRIES, None)
     }
 }
 
 impl ResultCache {
-    /// An empty cache with the default capacity
-    /// ([`DEFAULT_RESULT_CACHE_ENTRIES`]) and no byte bound.
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_RESULT_CACHE_ENTRIES)
-    }
-
     /// An empty cache bounded to `capacity` entries (0 disables
-    /// memoization: every insert is immediately evicted).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_and_budget(capacity, None)
-    }
-
-    /// [`ResultCache::with_capacity`] with an additional heap-byte bound
-    /// on retained results.
+    /// memoization: every insert is immediately evicted) and optionally to
+    /// `max_bytes` of retained results.
     pub fn with_capacity_and_budget(capacity: usize, max_bytes: Option<usize>) -> Self {
         Self {
-            capacity,
-            max_bytes,
-            inner: Mutex::new(Inner::default()),
-            view_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            map: BudgetedMap::new(CacheBudget {
+                max_bytes,
+                max_entries: Some(capacity),
+                ttl_epochs: None,
+            }),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The memoized result for `query` at `epoch`, counting a view hit or
-    /// a miss.
+    /// The memoized result for `query` at `epoch`, counting a view hit
+    /// (which also marks the entry recently used) or a miss.
     pub fn get(&self, epoch: u64, query: &str) -> Option<Arc<PairSet>> {
-        // Borrow-friendly probe: build the owned key only on insert.
-        let inner = self.lock();
-        let hit = inner
-            .map
-            .get(&(epoch, query.to_owned()))
-            .map(|entry| Arc::clone(&entry.result));
-        drop(inner);
-        match &hit {
-            Some(_) => self.view_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
+        match self.map.lookup(&(epoch, query.to_owned()), epoch) {
+            Lookup::Fresh(result) => Some(result),
+            Lookup::Stale(_) | Lookup::Miss => None,
+        }
     }
 
-    /// Memoizes `result` for `query` at `epoch` with no recorded build
-    /// cost (scores cheapest-to-rebuild; uncosted entries of equal size
-    /// evict in insertion order, the old FIFO behavior).
-    pub fn insert(&self, epoch: u64, query: String, result: Arc<PairSet>) {
-        self.insert_costed(epoch, query, result, Duration::ZERO);
-    }
-
-    /// Memoizes `result`, recording `build` — the wall clock the
-    /// evaluation took — as its cost-to-rebuild, then evicts
-    /// lowest-score entries past the capacity and byte bounds.
-    /// Re-inserting an existing key replaces the value without extending
-    /// its eviction lifetime.
-    pub fn insert_costed(&self, epoch: u64, query: String, result: Arc<PairSet>, build: Duration) {
-        let bytes = result.heap_bytes();
-        let mut inner = self.lock();
-        let key = (epoch, query);
-        let seq = match inner.map.get(&key) {
-            // Keep the original insertion point: replacement must not
-            // push the entry back in the eviction order.
-            Some(existing) => existing.seq,
-            None => {
-                inner.seq += 1;
-                inner.seq
-            }
-        };
-        let entry = Entry {
-            result,
-            bytes,
-            build_nanos: build.as_nanos() as u64,
-            seq,
-        };
-        inner.bytes += bytes;
-        if let Some(old) = inner.map.insert(key, entry) {
-            inner.bytes -= old.bytes;
-        }
-        let mut evicted = 0u64;
-        while inner.map.len() > self.capacity || self.max_bytes.is_some_and(|b| inner.bytes > b) {
-            let victim = inner
-                .map
-                .iter()
-                .min_by(|(ka, a), (kb, b)| {
-                    (a.score(), a.seq, ka)
-                        .partial_cmp(&(b.score(), b.seq, kb))
-                        .expect("scores are finite")
-                })
-                .map(|(k, _)| k.clone());
-            let Some(victim) = victim else {
-                break;
-            };
-            let old = inner.map.remove(&victim).expect("victim present");
-            inner.bytes -= old.bytes;
-            evicted += 1;
-        }
-        drop(inner);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+    /// Memoizes `result` for `query` at `epoch`, recording `build` — the
+    /// wall clock the evaluation took — as its cost-to-rebuild, then
+    /// evicts past the entry and byte bounds. Re-inserting an existing key
+    /// replaces the value without extending its eviction lifetime.
+    pub fn insert(&self, epoch: u64, query: String, result: Arc<PairSet>, build: Duration) {
+        self.map.insert((epoch, query), result, epoch, build);
     }
 
     /// Number of memoized results currently held.
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        self.map.occupancy_entries()
     }
 
     /// Whether no results are memoized.
@@ -206,49 +91,33 @@ impl ResultCache {
 
     /// The entry-count eviction bound.
     pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The heap-byte eviction bound, if one is set.
-    pub fn max_bytes(&self) -> Option<usize> {
-        self.max_bytes
-    }
-
-    /// Retained heap bytes across every memoized result.
-    pub fn occupancy_bytes(&self) -> usize {
-        self.lock().bytes
+        self.map.budget().max_entries.unwrap_or(usize::MAX)
     }
 
     /// Lookups answered from a memoized result since the last reset.
     pub fn view_hits(&self) -> u64 {
-        self.view_hits.load(Ordering::Relaxed)
+        self.map.count(Counter::Hits)
     }
 
     /// Lookups that fell through to evaluation since the last reset.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.map.count(Counter::Misses)
     }
 
-    /// Results evicted past the capacity/byte bounds since the last reset.
+    /// Results evicted past the entry/byte bounds since the last reset.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.map.evictions().total()
     }
 
     /// Resets the hit/miss/eviction counters, preserving memoized results
     /// — the result-cache half of `Engine::reset_metrics`.
     pub fn reset_counters(&self) {
-        self.view_hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
+        self.map.reset_counters();
     }
 
     /// Drops every memoized result and resets the counters.
     pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.map.clear();
-        inner.bytes = 0;
-        drop(inner);
-        self.reset_counters();
+        self.map.clear();
     }
 }
 
@@ -260,50 +129,62 @@ mod tests {
         Arc::new((0..n).map(|i| (i, i + 1)).collect())
     }
 
+    fn put(c: &ResultCache, epoch: u64, query: &str, result: Arc<PairSet>) {
+        c.insert(epoch, query.into(), result, Duration::ZERO);
+    }
+
     #[test]
     fn hit_and_miss_accounting() {
-        let c = ResultCache::new();
+        let c = ResultCache::default();
         assert!(c.get(0, "q").is_none());
         assert_eq!((c.view_hits(), c.misses()), (0, 1));
-        c.insert(0, "q".into(), pairs(3));
+        put(&c, 0, "q", pairs(3));
         let hit = c.get(0, "q").unwrap();
         assert_eq!(hit.len(), 3);
         assert_eq!((c.view_hits(), c.misses()), (1, 1));
         // Same query at another epoch is a different entry.
         assert!(c.get(1, "q").is_none());
+        assert_eq!(c.capacity(), DEFAULT_RESULT_CACHE_ENTRIES);
     }
 
+    /// A result re-hit under capacity churn survives; an older, un-hit
+    /// result of equal score goes.
     #[test]
-    fn fifo_eviction_respects_capacity() {
-        let c = ResultCache::with_capacity(2);
-        c.insert(0, "a".into(), pairs(1));
-        c.insert(0, "b".into(), pairs(1));
-        c.insert(0, "c".into(), pairs(1));
+    fn rehit_results_outlive_older_unhit_ones() {
+        let c = ResultCache::with_capacity_and_budget(2, None);
+        put(&c, 0, "hot", pairs(1));
+        put(&c, 0, "cold", pairs(1));
+        assert!(c.get(0, "hot").is_some());
+        put(&c, 0, "new", pairs(1));
         assert_eq!(c.len(), 2);
-        assert!(c.get(0, "a").is_none(), "oldest entry evicted");
-        assert!(c.get(0, "b").is_some());
-        assert!(c.get(0, "c").is_some());
+        assert!(c.get(0, "cold").is_none(), "least recently hit evicted");
+        assert!(c.get(0, "hot").is_some());
+        assert!(c.get(0, "new").is_some());
         assert_eq!(c.evictions(), 1);
     }
 
     #[test]
     fn reinsert_replaces_without_duplicating_order() {
-        let c = ResultCache::with_capacity(2);
-        c.insert(0, "a".into(), pairs(1));
-        c.insert(0, "a".into(), pairs(5));
-        c.insert(0, "b".into(), pairs(1));
+        let c = ResultCache::with_capacity_and_budget(2, None);
+        put(&c, 0, "a", pairs(1));
+        put(&c, 0, "a", pairs(5));
+        put(&c, 0, "b", pairs(1));
         assert_eq!(c.len(), 2);
-        assert_eq!(c.get(0, "a").unwrap().len(), 5);
-        // A third key still only evicts one entry ("a", the oldest).
-        c.insert(0, "c".into(), pairs(1));
+        assert_eq!(
+            c.map.occupancy_bytes(),
+            pairs(5).heap_bytes() + pairs(1).heap_bytes()
+        );
+        // A third key still only evicts one entry: "a", whose replacement
+        // kept its original age.
+        put(&c, 0, "c", pairs(1));
         assert_eq!(c.len(), 2);
         assert!(c.get(0, "a").is_none());
     }
 
     #[test]
     fn reset_counters_preserves_entries() {
-        let c = ResultCache::new();
-        c.insert(0, "q".into(), pairs(2));
+        let c = ResultCache::default();
+        put(&c, 0, "q", pairs(2));
         let _ = c.get(0, "q");
         let _ = c.get(0, "other");
         c.reset_counters();
@@ -315,34 +196,21 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_memoization() {
-        let c = ResultCache::with_capacity(0);
-        c.insert(0, "q".into(), pairs(1));
+        let c = ResultCache::with_capacity_and_budget(0, None);
+        put(&c, 0, "q", pairs(1));
         assert_eq!(c.len(), 0);
         assert!(c.get(0, "q").is_none());
-    }
-
-    #[test]
-    fn costly_results_outlive_cheap_ones() {
-        let c = ResultCache::with_capacity(2);
-        c.insert_costed(0, "slow".into(), pairs(1), Duration::from_millis(50));
-        c.insert_costed(0, "fast".into(), pairs(1), Duration::from_micros(10));
-        c.insert_costed(0, "medium".into(), pairs(1), Duration::from_millis(5));
-        assert_eq!(c.len(), 2);
-        // Equal sizes: the cheapest-to-rebuild result goes, not the oldest.
-        assert!(c.get(0, "fast").is_none());
-        assert!(c.get(0, "slow").is_some());
-        assert!(c.get(0, "medium").is_some());
     }
 
     #[test]
     fn byte_budget_bounds_retained_results() {
         let unit = pairs(8).heap_bytes();
         let c = ResultCache::with_capacity_and_budget(1024, Some(2 * unit));
-        c.insert_costed(0, "a".into(), pairs(8), Duration::from_millis(9));
-        c.insert_costed(0, "b".into(), pairs(8), Duration::from_millis(1));
-        assert_eq!(c.occupancy_bytes(), 2 * unit);
-        c.insert_costed(0, "c".into(), pairs(8), Duration::from_millis(5));
-        assert!(c.occupancy_bytes() <= 2 * unit);
+        c.insert(0, "a".into(), pairs(8), Duration::from_millis(9));
+        c.insert(0, "b".into(), pairs(8), Duration::from_millis(1));
+        assert_eq!(c.map.occupancy_bytes(), 2 * unit);
+        c.insert(0, "c".into(), pairs(8), Duration::from_millis(5));
+        assert!(c.map.occupancy_bytes() <= 2 * unit);
         assert_eq!(c.len(), 2);
         assert!(c.get(0, "b").is_none(), "lowest score evicted");
         assert_eq!(c.evictions(), 1);

@@ -18,7 +18,7 @@
 
 use crate::batch_unit::{eval_batch_unit_full, eval_batch_unit_rtc};
 use crate::breakdown::{Breakdown, EliminationStats, MaintenanceMetrics};
-use crate::cache::{FullLookup, RtcLookup, SharedCache, StaleFull, StaleRtc};
+use crate::cache::{FullLookup, RtcLookup, SharedCache, SharedStructure, StaleFull, StaleRtc};
 use crate::error::EngineError;
 use crate::pre_relation::PreRelation;
 use rpq_eval::label_seq::eval_label_names;
@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Which shared structure the recursion maintains.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) enum SharingKind {
     Rtc,
     Full,
@@ -166,14 +166,13 @@ fn obtain_rtc(ctx: &mut EvalCtx<'_, '_>, key: &str, r: &Regex) -> Result<Arc<Rtc
     ctx.breakdown.shared_data += build;
     // The construction time doubles as the entry's cost-to-rebuild under
     // the cache's cost-aware eviction.
-    ctx.cache.insert_rtc_entry_costed(
-        key.to_owned(),
-        Arc::clone(&rtc),
-        r_g,
+    let structure = SharedStructure::Rtc {
+        rtc: Arc::clone(&rtc),
+        r_g: Some(r_g),
         dynamic,
-        ctx.epoch,
-        build,
-    );
+    };
+    ctx.cache
+        .insert(key.to_owned(), structure, ctx.epoch, build);
     Ok(rtc)
 }
 
@@ -265,13 +264,12 @@ fn obtain_full(
     };
     let build = t.elapsed();
     ctx.breakdown.shared_data += build;
-    ctx.cache.insert_full_entry_costed(
-        key.to_owned(),
-        Arc::clone(&full),
-        Arc::new(r_g),
-        ctx.epoch,
-        build,
-    );
+    let structure = SharedStructure::Full {
+        full: Arc::clone(&full),
+        r_g: Some(Arc::new(r_g)),
+    };
+    ctx.cache
+        .insert(key.to_owned(), structure, ctx.epoch, build);
     Ok(full)
 }
 
@@ -283,7 +281,7 @@ mod tests {
 
     fn run(kind: SharingKind, src: &str) -> (PairSet, SharedCache) {
         let g = paper_graph();
-        let cache = SharedCache::new();
+        let cache = SharedCache::default();
         let mut breakdown = Breakdown::default();
         let mut stats = EliminationStats::default();
         let mut maintenance = MaintenanceMetrics::default();

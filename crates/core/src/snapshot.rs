@@ -33,12 +33,12 @@
 //! row instead.
 //!
 //! Budgets are honoured on both sides of the roundtrip. A save from an
-//! engine whose [`crate::CacheBudget`] is bounded trims to the
-//! highest-score subset that fits (pinned epochs can push the live cache
-//! past its budget; the file never is). A load inserts through the costed
+//! engine whose [`crate::CacheBudget`] is bounded keeps what the cache's
+//! eviction would keep: entries in the reverse of its victim order, each
+//! one that still fits (pinned epochs can push the live cache past its
+//! budget; the file never is). A load inserts through the
 //! budget-enforcing path, so restoring into a *tighter* budget than the
-//! writer's deterministically keeps the highest-score entries and evicts
-//! the rest. Loads re-validate
+//! writer's deterministically evicts by the same rule. Loads re-validate
 //! everything — magic, embedded graph, structural invariants of every
 //! cached structure, `R_G` pair ordering, and the end marker — so a
 //! truncated or corrupted file fails with [`EngineError::Snapshot`]
@@ -60,6 +60,7 @@
 //! assert!(warm.cache().hits() >= 1);
 //! ```
 
+use crate::cache::SharedStructure;
 use crate::engine::{Engine, EngineConfig};
 use crate::error::EngineError;
 use rpq_graph::{PairSet, RowSet, VertexId};
@@ -93,86 +94,37 @@ pub fn write_snapshot<W: Write>(engine: &Engine<'_>, mut w: W) -> Result<(), Eng
     w.write_all(&MAGIC).map_err(io_err)?;
     rpq_graph::snapshot::write_graph_snapshot(engine.graph(), engine.epoch(), &mut w)?;
 
-    let cache = engine.cache();
-    let mut rtcs = cache.fresh_rtc_entries();
-    let mut fulls = cache.fresh_full_entries();
-
     // A bounded cache can sit past its budget while pinned epochs hold
-    // entries hostage; the file must not inherit that excess. Trim to the
-    // highest-score subset that fits — same score as eviction
-    // (cost-to-rebuild per byte), ties broken by key then namespace, so
-    // equal states trim identically.
+    // entries hostage; the file must not inherit that excess. The cache
+    // lists its fresh entries best-to-keep first (the reverse of its
+    // eviction order), so keeping each one that still fits saves exactly
+    // what eviction would keep.
+    let cache = engine.cache();
+    let mut entries = cache.fresh_entries();
     let budget = cache.budget();
-    if !budget.is_unbounded() {
-        struct Cand {
-            is_rtc: bool,
-            idx: usize,
-            bytes: usize,
-            score: f64,
-        }
-        let mut cands: Vec<Cand> = Vec::with_capacity(rtcs.len() + fulls.len());
-        for (idx, (_, rtc, r_g, nanos)) in rtcs.iter().enumerate() {
-            let bytes = rtc.closure_heap_bytes() + r_g.as_ref().map_or(0, |p| p.heap_bytes());
-            let score = *nanos as f64 / bytes.max(1) as f64;
-            cands.push(Cand {
-                is_rtc: true,
-                idx,
-                bytes,
-                score,
-            });
-        }
-        for (idx, (_, full, r_g, nanos)) in fulls.iter().enumerate() {
-            let bytes = full.heap_bytes() + r_g.as_ref().map_or(0, |p| p.heap_bytes());
-            let score = *nanos as f64 / bytes.max(1) as f64;
-            cands.push(Cand {
-                is_rtc: false,
-                idx,
-                bytes,
-                score,
-            });
-        }
-        let key_of = |c: &Cand| {
-            if c.is_rtc {
-                rtcs[c.idx].0.as_str()
-            } else {
-                fulls[c.idx].0.as_str()
-            }
-        };
-        cands.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| key_of(a).cmp(key_of(b)))
-                .then_with(|| b.is_rtc.cmp(&a.is_rtc))
-        });
-        let mut bytes_left = budget.max_bytes.unwrap_or(usize::MAX);
-        let mut entries_left = budget.max_entries.unwrap_or(usize::MAX);
-        let mut keep_rtc = vec![false; rtcs.len()];
-        let mut keep_full = vec![false; fulls.len()];
-        for c in &cands {
-            if entries_left == 0 {
-                break;
-            }
-            if c.bytes > bytes_left {
-                continue; // a smaller, lower-score entry may still fit
-            }
-            bytes_left -= c.bytes;
+    let mut bytes_left = budget.max_bytes.unwrap_or(usize::MAX);
+    let mut entries_left = budget.max_entries.unwrap_or(usize::MAX);
+    entries.retain(|&(_, _, bytes, _)| {
+        // A smaller entry later in the order may still fit.
+        let keep = entries_left > 0 && bytes <= bytes_left;
+        if keep {
+            bytes_left -= bytes;
             entries_left -= 1;
-            if c.is_rtc {
-                keep_rtc[c.idx] = true;
-            } else {
-                keep_full[c.idx] = true;
-            }
         }
-        let mut keep = keep_rtc.iter();
-        rtcs.retain(|_| *keep.next().expect("one flag per RTC entry"));
-        let mut keep = keep_full.iter();
-        fulls.retain(|_| *keep.next().expect("one flag per full entry"));
-    }
+        keep
+    });
 
     // Sort by key so snapshots of equal state are byte-equal (hash-map
     // iteration order is not deterministic).
-    rtcs.sort_by(|a, b| a.0.cmp(&b.0));
+    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut rtcs = Vec::new();
+    let mut fulls = Vec::new();
+    for (key, structure, _, build_nanos) in entries {
+        match structure {
+            SharedStructure::Rtc { rtc, r_g, .. } => rtcs.push((key, rtc, r_g, build_nanos)),
+            SharedStructure::Full { full, r_g } => fulls.push((key, full, r_g, build_nanos)),
+        }
+    }
     write_u32(&mut w, rtcs.len() as u32)?;
     for (key, rtc, r_g, build_nanos) in &rtcs {
         write_str(&mut w, key)?;
@@ -190,7 +142,6 @@ pub fn write_snapshot<W: Write>(engine: &Engine<'_>, mut w: W) -> Result<(), Eng
         write_u64(&mut w, parts.ebar_edges)?;
     }
 
-    fulls.sort_by(|a, b| a.0.cmp(&b.0));
     write_u32(&mut w, fulls.len() as u32)?;
     for (key, full, r_g, build_nanos) in &fulls {
         write_str(&mut w, key)?;
@@ -261,17 +212,14 @@ pub fn read_snapshot<R: Read>(
                 .assemble()
                 .map_err(|e| EngineError::Snapshot(format!("entry '{key}': {e}")))?,
         );
-        // Costed inserts go through budget enforcement, so a restore into
-        // a tighter budget than the writer's trims deterministically.
-        let epoch = engine.epoch();
-        match r_g {
-            Some(r_g) => {
-                engine
-                    .cache()
-                    .insert_rtc_entry_costed(key, rtc, Arc::new(r_g), None, epoch, build)
-            }
-            None => engine.cache().insert_rtc_at_costed(key, rtc, epoch, build),
-        }
+        // Inserts go through budget enforcement, so a restore into a
+        // tighter budget than the writer's trims deterministically.
+        let structure = SharedStructure::Rtc {
+            rtc,
+            r_g: r_g.map(Arc::new),
+            dynamic: None,
+        };
+        engine.cache().insert(key, structure, engine.epoch(), build);
     }
 
     let full_count = read_u32(&mut r, "full-closure entry count")?;
@@ -291,17 +239,11 @@ pub fn read_snapshot<R: Read>(
                 .assemble()
                 .map_err(|e| EngineError::Snapshot(format!("entry '{key}': {e}")))?,
         );
-        let epoch = engine.epoch();
-        match r_g {
-            Some(r_g) => {
-                engine
-                    .cache()
-                    .insert_full_entry_costed(key, full, Arc::new(r_g), epoch, build)
-            }
-            None => engine
-                .cache()
-                .insert_full_at_costed(key, full, epoch, build),
-        }
+        let structure = SharedStructure::Full {
+            full,
+            r_g: r_g.map(Arc::new),
+        };
+        engine.cache().insert(key, structure, engine.epoch(), build);
     }
 
     let mut end = [0u8; 8];
@@ -496,6 +438,7 @@ fn read_opt_pairs<R: Read>(r: &mut R) -> Result<Option<PairSet>, EngineError> {
 mod tests {
     use super::*;
     use crate::engine::Strategy;
+    use crate::sharing::SharingKind;
     use rpq_graph::fixtures::paper_graph;
     use rpq_graph::GraphDelta;
 
@@ -664,10 +607,14 @@ mod tests {
         // *write* fail loudly, never produce an unloadable file.
         let engine = Engine::new_dynamic(paper_graph());
         let huge_key = "k".repeat(CAP + 1);
-        engine.cache().insert_rtc(
-            huge_key,
-            Arc::new(rpq_reduction::Rtc::from_pairs(&PairSet::new())),
-        );
+        let structure = SharedStructure::Rtc {
+            rtc: Arc::new(rpq_reduction::Rtc::from_pairs(&PairSet::new())),
+            r_g: None,
+            dynamic: None,
+        };
+        engine
+            .cache()
+            .insert(huge_key, structure, 0, std::time::Duration::ZERO);
         let mut bytes = Vec::new();
         let err = write_snapshot(&engine, &mut bytes).unwrap_err();
         assert!(
@@ -724,14 +671,15 @@ mod tests {
         let engine = Engine::new_dynamic(paper_graph());
         let pairs = sample_pairs();
         for (key, nanos) in [("cheap", 1_000u64), ("mid", 20_000), ("dear", 30_000)] {
-            engine.cache().insert_rtc_entry_costed(
-                key.to_owned(),
-                Arc::new(rpq_reduction::Rtc::from_pairs(&pairs)),
-                Arc::clone(&pairs),
-                None,
-                engine.epoch(),
-                Duration::from_nanos(nanos),
-            );
+            let structure = SharedStructure::Rtc {
+                rtc: Arc::new(rpq_reduction::Rtc::from_pairs(&pairs)),
+                r_g: Some(Arc::clone(&pairs)),
+                dynamic: None,
+            };
+            let build = Duration::from_nanos(nanos);
+            engine
+                .cache()
+                .insert(key.to_owned(), structure, engine.epoch(), build);
         }
         let bytes = snapshot_bytes(&engine);
 
@@ -747,15 +695,15 @@ mod tests {
         let warm = read_snapshot(&bytes[..], config).unwrap();
         assert_eq!(warm.cache().rtc_count(), 2);
         assert_eq!(warm.cache().occupancy_entries(), 2);
-        assert!(warm.cache().contains_fresh_rtc("dear"));
-        assert!(warm.cache().contains_fresh_rtc("mid"));
-        assert!(!warm.cache().contains_fresh_rtc("cheap"));
+        assert!(warm.cache().contains_fresh(SharingKind::Rtc, "dear"));
+        assert!(warm.cache().contains_fresh(SharingKind::Rtc, "mid"));
+        assert!(!warm.cache().contains_fresh(SharingKind::Rtc, "cheap"));
         assert_eq!(warm.cache().eviction_counters().by_entries, 1);
     }
 
     /// A pinned epoch can hold a bounded cache past its budget; the
-    /// snapshot trims to the highest-score subset that fits, so the file
-    /// — and any restore of it — is under budget from the first byte.
+    /// snapshot keeps what eviction would keep, so the file — and any
+    /// restore of it — is under budget from the first byte.
     #[test]
     fn over_budget_saves_trim_highest_score_first() {
         use std::time::Duration;
@@ -771,14 +719,15 @@ mod tests {
         let view = engine.pin(); // pins epoch 0: both entries below survive
         let pairs = sample_pairs();
         for (key, nanos) in [("cold", 1_000u64), ("hot", 9_000)] {
-            engine.cache().insert_rtc_entry_costed(
-                key.to_owned(),
-                Arc::new(rpq_reduction::Rtc::from_pairs(&pairs)),
-                Arc::clone(&pairs),
-                None,
-                engine.epoch(),
-                Duration::from_nanos(nanos),
-            );
+            let structure = SharedStructure::Rtc {
+                rtc: Arc::new(rpq_reduction::Rtc::from_pairs(&pairs)),
+                r_g: Some(Arc::clone(&pairs)),
+                dynamic: None,
+            };
+            let build = Duration::from_nanos(nanos);
+            engine
+                .cache()
+                .insert(key.to_owned(), structure, engine.epoch(), build);
         }
         assert_eq!(
             engine.cache().rtc_count(),
@@ -794,8 +743,8 @@ mod tests {
             1,
             "the file was trimmed to budget"
         );
-        assert!(warm.cache().contains_fresh_rtc("hot"));
-        assert!(!warm.cache().contains_fresh_rtc("cold"));
+        assert!(warm.cache().contains_fresh(SharingKind::Rtc, "hot"));
+        assert!(!warm.cache().contains_fresh(SharingKind::Rtc, "cold"));
     }
 
     #[test]

@@ -137,8 +137,7 @@ impl EpochView {
         let result = Arc::new(result?);
         // The evaluation time is the entry's cost-to-rebuild under the
         // result cache's cost-aware eviction.
-        self.results
-            .insert_costed(epoch, key, Arc::clone(&result), build);
+        self.results.insert(epoch, key, Arc::clone(&result), build);
         Ok(result)
     }
 
@@ -279,7 +278,9 @@ mod tests {
         let pinned = v0.evaluate(&q).unwrap();
         assert_ne!(*pinned, live);
         assert_eq!(e.cache().rtc_shared_pairs(), live_pairs);
-        assert!(e.cache().contains_fresh_rtc("b.c"));
+        assert!(e
+            .cache()
+            .contains_fresh(crate::sharing::SharingKind::Rtc, "b.c"));
         // The live result is untouched by the pinned evaluation.
         assert_eq!(e.evaluate(&q).unwrap(), live);
     }
